@@ -4,8 +4,9 @@ The local spatial bandwidth at a receive point is the spread (max - min), in
 cycles per wavelength, of the spatial frequencies ``<r_hat, v_hat>`` of the
 wave components arriving from every point of the source segment.  This module
 provides closed forms for the three receiving axes, their extrema over the
-effective integration interval, and a brute-force evaluator for arbitrary
-receive orientations that works directly from the definition.
+effective integration interval, and the closed-form spread for arbitrary
+receive orientations, whose extremes lie at the source ends or at the single
+stationary point of the spatial frequency along the source.
 
 All values are in wavelength units, so bandwidths lie in ``[0, 2]``.
 """
@@ -17,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+# Unused here; kept because bench/tracing.py counts calls through this name.
+from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .geometry import AssemblyParams, ReceiveDirection
 
@@ -128,72 +130,44 @@ def bandwidth_y(y, params: AssemblyParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _spatial_frequency_profile(l: float, v_hat, params: AssemblyParams, samples: int):
-    """Sampled ``<r_hat, v_hat>`` over the source segment, plus the scalar evaluator."""
-    v = np.asarray(v_hat, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
-    p = float(l) * v
-    dx = p[0] + params.d
-    dy = p[1]
-    # Axial offset from the receive point to the source point at parameter t.
-    z_src = -params.r * math.cos(params.theta)
-    u0 = p[2] - z_src
-    half = 0.5 * params.L
-    ts = np.linspace(-half, half, samples + 1)
-    u = u0 - ts
-    dist = np.sqrt(dx * dx + dy * dy + u * u)
-    if float(dist.min()) < 1e-9:
-        raise ValueError("receive point coincides with a source point (zero distance)")
-    g = (dx * v[0] + dy * v[1] + u * v[2]) / dist
-
-    def g_scalar(t: float) -> float:
-        uu = u0 - t
-        return (dx * v[0] + dy * v[1] + uu * v[2]) / math.sqrt(dx * dx + dy * dy + uu * uu)
-
-    return ts, g, g_scalar
-
-
-def bandwidth_generic(l: float, v_hat, params: AssemblyParams, samples: int = 1024) -> float:
+def bandwidth_generic(l, v_hat, params: AssemblyParams):
     """Local spatial bandwidth at coordinate ``l`` on an arbitrarily oriented array.
 
-    Brute-force evaluation of the defining max-min spread: the spatial
-    frequency is sampled densely over the source segment (``samples + 1``
-    points), every interior extremum bracketed by the scan is refined by
-    bounded scalar minimisation to 1e-12 in the source parameter, and the
-    segment endpoints are always included as candidates.
+    Closed form of the defining max-min spread.  With ``(dx, dy)`` the offset
+    of the receive point from the source axis and ``u`` the axial offset from
+    a source point, the spatial frequency is
+    ``g(u) = (alpha + u*v_z) / sqrt(rho2 + u**2)`` where
+    ``alpha = dx*v_x + dy*v_y`` and ``rho2 = dx**2 + dy**2``.  Its derivative
+    is proportional to ``v_z*rho2 - alpha*u``, so the extremes lie at the two
+    source ends or at ``u* = v_z*rho2/alpha`` when that falls strictly inside
+    the segment.
 
     Agrees with the closed forms ``bandwidth_z/x/y`` when ``v_hat`` is the
-    corresponding axis (for e_y, on the half interval ``[0, rho]``).
+    corresponding axis (for e_y, on the half interval ``[0, rho]``).  Accepts
+    a scalar or array ``l``.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 scan samples")
-    ts, g, g_scalar = _spatial_frequency_profile(l, v_hat, params, samples)
-
-    hi_candidates = [float(g[0]), float(g[-1])]
-    lo_candidates = [float(g[0]), float(g[-1])]
-    diffs = np.sign(np.diff(g))
-    turning = np.nonzero(diffs[:-1] * diffs[1:] < 0)[0] + 1
-    for i in turning:
-        bracket = (float(ts[i - 1]), float(ts[i + 1]))
-        if g[i] >= g[i - 1]:  # local maximum
-            res = minimize_scalar(
-                lambda t: -g_scalar(t), bounds=bracket, method="bounded",
-                options={"xatol": 1e-12},
-            )
-            hi_candidates.append(-float(res.fun))
-            hi_candidates.append(float(g[i]))
-        else:
-            res = minimize_scalar(
-                g_scalar, bounds=bracket, method="bounded", options={"xatol": 1e-12},
-            )
-            lo_candidates.append(float(res.fun))
-            lo_candidates.append(float(g[i]))
-    # Flat plateaus produce no strict sign change; the raw scan covers them.
-    hi = max(max(hi_candidates), float(g.max()))
-    lo = min(min(lo_candidates), float(g.min()))
-    return hi - lo
+    vx, vy, vz = (float(c) for c in v_hat)
+    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
+    l = np.asarray(l, dtype=float)
+    dx = l * vx + params.d
+    dy = l * vy
+    u_mid = l * vz + params.r * math.cos(params.theta)
+    u_lo = u_mid - 0.5 * params.L
+    u_hi = u_mid + 0.5 * params.L
+    alpha = dx * vx + dy * vy
+    rho2 = dx * dx + dy * dy
+    near = np.fmin(np.fmax(0.0, u_lo), u_hi)
+    if (np.sqrt(rho2 + near * near) < 1e-9).any():
+        raise ValueError("receive point coincides with a source point (zero distance)")
+    # A u* outside the segment (infinite or NaN when alpha is 0 or tiny) is
+    # clipped onto a source end, which is a candidate anyway.
+    with np.errstate(all="ignore"):
+        u_star = np.fmin(np.fmax(vz * rho2 / alpha, u_lo), u_hi)
+    g_lo, g_hi, g_star = ((alpha + vz * u) / np.sqrt(rho2 + u * u) for u in (u_lo, u_hi, u_star))
+    out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
+    return float(out) if out.ndim == 0 else out
 
 
 def effective_interval(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float, float]:

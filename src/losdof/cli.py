@@ -30,9 +30,9 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import __version__
+from ._oracle import random_params, scan_extrema, scan_spread
 from .bandwidth import (
     FarFieldWarning,
     bandwidth_generic,
@@ -347,35 +347,6 @@ def cmd_scenario_map(args) -> int:
 # verify: randomized self-check of the closed forms against brute oracles
 
 
-def _scan_extrema(fn, lo: float, hi: float, samples: int = 4001) -> tuple[float, float]:
-    """Grid scan plus bounded refinement; independent of the closed forms."""
-    xs = np.linspace(lo, hi, samples)
-    vals = np.asarray(fn(xs), dtype=float)
-
-    def refine(index: int, sign: float) -> float:
-        a = xs[max(index - 1, 0)]
-        b = xs[min(index + 1, samples - 1)]
-        if a == b:
-            return float(vals[index])
-        res = minimize_scalar(
-            lambda x: sign * float(fn(x)), bounds=(a, b), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return sign * float(res.fun)
-
-    w_hi = max(float(vals.max()), refine(int(vals.argmax()), -1.0))
-    w_lo = min(float(vals.min()), refine(int(vals.argmin()), 1.0))
-    return w_lo, w_hi
-
-
-def _draw_params(rng) -> AssemblyParams:
-    L = float(np.exp(rng.uniform(np.log(10.0), np.log(1e3))))
-    rho = float(np.exp(rng.uniform(np.log(1.0), np.log(1e2))))
-    r = float(np.exp(rng.uniform(np.log(10.0), np.log(1e5))))
-    theta = float(rng.uniform(0.0, math.pi))
-    return AssemblyParams(L, rho, r, theta)
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args)
     draws = int(_opt(args, config, "draws", default=100))
@@ -390,14 +361,14 @@ def cmd_verify(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FarFieldWarning)
         for _ in range(draws):
-            params = _draw_params(rng)
+            params = random_params(rng)
             mirrored = AssemblyParams(params.L, params.rho, params.r, math.pi - params.theta)
             for tag in ("x", "y", "z"):
                 direction = _DIRECTIONS[tag]()
                 summary = extrema(params, direction)
                 lo, hi = summary.effective_interval
                 fn = pointwise[tag]
-                s_lo, s_hi = _scan_extrema(lambda v: fn(v, params), lo, hi)
+                s_lo, s_hi = scan_extrema(lambda v: fn(v, params), lo, hi, samples=4001)
                 worst_extrema = max(
                     worst_extrema, abs(s_hi - summary.w_max), abs(s_lo - summary.w_min)
                 )
@@ -431,12 +402,17 @@ def cmd_verify(args) -> int:
                 closed = float(pointwise[tag](l_probe, params))
                 brute = bandwidth_generic(l_probe, v, params)
                 worst_generic = max(worst_generic, abs(brute - closed))
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            closed = bandwidth_generic(l_probe, v, params)
+            brute = scan_spread(l_probe, v, params, samples=4001)
+            worst_generic = max(worst_generic, abs(brute - closed))
 
     checks = [
         ("closed-form extrema vs dense-scan oracle", worst_extrema, 1e-8),
         ("k_lower <= k_exact <= k_upper sandwich", worst_sandwich, 0.0),
         ("bandwidth symmetry identities (relative)", worst_symmetry, 1e-12),
-        ("generic-direction evaluator vs closed forms", worst_generic, 1e-9),
+        ("generic-direction evaluator vs axis closed forms and scan", worst_generic, 1e-9),
     ]
     failed = False
     for name, worst, bound in checks:
@@ -549,9 +525,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_v_hat(argv) -> list:
+    # argparse takes a value that starts with "-" but is not a plain number,
+    # such as "-0.6,0,0.8", for an option; the "--v-hat=VALUE" form is not.
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--v-hat":
+            token = f"--v-hat={next(tokens, '')}"
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_v_hat(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except QuadratureError as exc:

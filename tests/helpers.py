@@ -1,40 +1,17 @@
 """Shared brute-force oracles for the test suite.
 
-These deliberately avoid the closed forms under test: extrema come from
-dense grid scans with local refinement, integrals from the trapezoid rule,
-and the world-frame K number from a direct two-dimensional scan over source
-and receive positions in world coordinates.
+These deliberately avoid the closed forms under test: extrema and the
+generic bandwidth come from ``losdof._oracle`` (dense grid scans with local
+refinement, shared with ``losdof verify``), integrals from the trapezoid
+rule, and the world-frame K number from a direct two-dimensional scan over
+source and receive positions in world coordinates.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from losdof import AssemblyParams
-
-
-def scan_extrema(fn, lo: float, hi: float, samples: int = 10001) -> tuple[float, float]:
-    """(min, max) of ``fn`` on ``[lo, hi]``: dense scan plus bounded refinement."""
-    xs = np.linspace(lo, hi, samples)
-    vals = np.asarray(fn(xs), dtype=float)
-
-    def refine(index: int, sign: float) -> float:
-        a = xs[max(index - 1, 0)]
-        b = xs[min(index + 1, samples - 1)]
-        if a == b:
-            return float(vals[index])
-        res = minimize_scalar(
-            lambda x: sign * float(fn(x)), bounds=(a, b), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return sign * float(res.fun)
-
-    w_hi = max(float(vals.max()), refine(int(vals.argmax()), -1.0))
-    w_lo = min(float(vals.min()), refine(int(vals.argmin()), 1.0))
-    return w_lo, w_hi
+from losdof._oracle import random_params, scan_extrema, scan_spread  # noqa: F401
 
 
 def trapezoid_k(fn, lo: float, hi: float, panels: int = 1_000_000) -> float:
@@ -76,14 +53,3 @@ def world_k_number(
     g = (diff @ v) / dist
     w = g.max(axis=1) - g.min(axis=1)
     return float(np.trapezoid(w, ls))
-
-
-def random_params(rng, v_hat=None) -> AssemblyParams:
-    """One random assembly from the sweep ranges (log-uniform lengths)."""
-    L = float(np.exp(rng.uniform(np.log(10.0), np.log(1e3))))
-    rho = float(np.exp(rng.uniform(np.log(1.0), np.log(1e2))))
-    r = float(np.exp(rng.uniform(np.log(10.0), np.log(1e5))))
-    theta = float(rng.uniform(0.0, math.pi))
-    if v_hat is None:
-        return AssemblyParams(L, rho, r, theta)
-    return AssemblyParams(L, rho, r, theta, v_hat)

@@ -22,7 +22,7 @@ from losdof import (
     rz_boresight,
 )
 
-from helpers import random_params, scan_extrema
+from helpers import random_params, scan_extrema, scan_spread
 
 pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
 
@@ -167,7 +167,7 @@ class TestGenericDirection:
         p = AssemblyParams(400.0, 20.0, 800.0, 1.1)
         for phi in (0.3, 0.7, 1.2):
             v = (math.sin(phi), 0.0, math.cos(phi))
-            w = bandwidth_generic(5.0, v, p, samples=100_000)
+            w = bandwidth_generic(5.0, v, p)
             assert w <= bandwidth_z(5.0, p) + bandwidth_x(5.0, p) + 1e-9
 
     def test_matches_wy_on_half_interval(self):
@@ -181,7 +181,32 @@ class TestGenericDirection:
         # receive point placed exactly on the source segment
         p = AssemblyParams(400.0, 20.0, 10.0, math.pi / 2, v_hat=(1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            bandwidth_generic(-10.0, (1.0, 0.0, 0.0), p, samples=4096)
+            bandwidth_generic(-10.0, (1.0, 0.0, 0.0), p)
+
+    def test_extremum_next_to_source_end(self):
+        # the stationary point of the spatial frequency lies next to a source end
+        p = AssemblyParams(104.4774814141741, 14.14624603843816, 50.48876025439258,
+                           0.68317859412455)
+        v = (-0.9217550583353455, -0.08889529241034258, 0.3774456774431036)
+        l = -1.5371088335732495
+        assert bandwidth_generic(l, v, p) == pytest.approx(1.0334066068645413, abs=1e-9)
+        assert bandwidth_generic(l, v, p) == pytest.approx(scan_spread(l, v, p), abs=1e-9)
+
+    @given(**PARAM_STRATEGY, frac=st.floats(-1.0, 1.0),
+           v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda c: math.hypot(*c) > 0.1))
+    @settings(max_examples=80, deadline=None)
+    def test_scan_oracle_and_reversal(self, L, rho, r, theta, frac, v):
+        p = AssemblyParams(L, rho, r, theta)
+        v = np.asarray(v) / math.hypot(*v)
+        l = frac * rho
+        assert bandwidth_generic(l, v, p) == pytest.approx(scan_spread(l, v, p), abs=1e-9)
+        assert bandwidth_generic(l, -v, p) == bandwidth_generic(-l, v, p)
+
+    def test_array_matches_scalar(self):
+        p = AssemblyParams(400.0, 20.0, 500.0, 1.0)
+        v = (0.48, 0.6, 0.64)
+        ls = np.linspace(-20.0, 20.0, 9)
+        assert np.array_equal(bandwidth_generic(ls, v, p), [bandwidth_generic(l, v, p) for l in ls])
 
     def test_requires_unit_vector(self):
         p = AssemblyParams(400.0, 20.0, 100.0, 1.0)

@@ -110,6 +110,23 @@ class TestKNumberCommand:
         payload = json.loads(out.read_text())
         assert payload["k_lower"] <= payload["k_exact"] <= payload["k_upper"]
 
+    def test_generic_v_hat_with_leading_minus(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert run(["k-number", *ASSEMBLY, "--direction", "generic",
+                    "--v-hat", "-0.6,0,0.8", "--output", out]) == 0
+        assert json.loads(out.read_text())["k_exact"] > 0
+
+    def test_generic_near_range_converges(self, tmp_path):
+        # close-range link whose spread peaks next to a source end; the
+        # reference is scipy.integrate.quad at epsabs 1e-12
+        out = tmp_path / "k.json"
+        assert run(["k-number", "-L", 148.5, "--rho", 12.0, "-r", 66.61555420434652,
+                    "--theta", 2.9466757769015084, "--direction", "generic",
+                    "--v-hat=-0.5464368685021558,-0.8068938736714304,-0.22434131445873173",
+                    "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["k_exact"] == pytest.approx(16.261847046728192, abs=1e-9)
+
 
 class TestRegionBoundaryCommand:
     def test_z_smr_contains_boresight(self, tmp_path):
