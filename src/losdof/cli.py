@@ -13,9 +13,10 @@ Subcommands expose every computation with CSV/JSON output:
 All CSV output uses ``.`` decimals, ``\\n`` newlines, UTF-8 and always a
 header row.  Exit codes: 0 success, 2 argument error, 3 numerical failure.
 
-Every flag can also be supplied through a JSON config file (``--config``)
-whose keys are the long option names with underscores; explicit flags win
-over config values.  Lengths are in wavelengths unless ``--wavelength``
+Every option is declared once, in ``COMMANDS``, and can also be supplied
+through a JSON config file (``--config``) whose keys are the long option
+names with underscores; explicit flags win over config values, which are
+typed, checked and converted exactly like flags.  Lengths are in wavelengths unless ``--wavelength``
 supplies the wavelength in metres, in which case all length-like inputs are
 read as metres and length-like outputs are written back in metres.  Angles
 are radians unless ``--degrees`` is given (outputs stay in radians).
@@ -24,10 +25,12 @@ are radians unless ``--degrees`` is given (outputs stay in radians).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,126 +62,109 @@ EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_NUMERIC = 3
 
-_DIRECTIONS = {
-    "x": ReceiveDirection.x,
-    "y": ReceiveDirection.y,
-    "z": ReceiveDirection.z,
-}
+#: default of an option that has to be given, by flag or config value.
+REQUIRED = object()
 
 
-def _opt(args, config: dict, key: str, default=None, required: bool = False):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if value is None and required:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
+@dataclass(frozen=True)
+class Option:
+    """One option: ``--name`` on the command line, ``name`` in a config file.
+
+    ``kind`` is ``"length"`` for a value read in metres under ``--wavelength``
+    and ``"angle"`` for one read in degrees under ``--degrees``; defaults are
+    already in wavelengths and radians.  A ``bool`` option is a bare flag.
+    """
+
+    name: str
+    type: object = float
+    default: object = None
+    help: str | None = None
+    choices: tuple = ()
+    kind: str = ""
+    alias: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def resolve(args: argparse.Namespace, options) -> argparse.Namespace:
+    """Every option's value: the flag, else the ``--config`` value, else the default.
+
+    Supplied values get the option's type and choice check whichever source
+    they come from; lengths are then divided by the wavelength and angles
+    read in degrees turned into radians.
+    """
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must contain a JSON object")
+    values = {}
+    for opt in options:
+        raw = getattr(args, opt.name)
+        if raw is None:
+            raw = config.get(opt.name)
+        if raw is None:
+            if opt.default is REQUIRED:
+                raise ValueError(f"missing required option {opt.flag}")
+            values[opt.name] = opt.default
+            continue
+        value = opt.type(raw)
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{opt.flag} must be one of {', '.join(opt.choices)}; got {value!r}")
+        if opt.kind == "length":
+            value /= values["wavelength"]
+        elif opt.kind == "angle" and values["degrees"]:
+            value = math.radians(value)
+        values[opt.name] = value
+    return argparse.Namespace(**values)
+
+
+def _wavelength(text) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError("wavelength must be positive")
     return value
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config file must contain a JSON object")
-    return config
-
-
-def _angle(value, degrees: bool) -> float:
-    value = float(value)
-    return math.radians(value) if degrees else value
-
-
-def _angle_opt(args, config, key: str, default_radians: float, degrees: bool) -> float:
-    raw = _opt(args, config, key)
-    if raw is None:
-        return default_radians
-    return _angle(raw, degrees)
-
-
-def _length_opt(args, config, scaler, key: str, default_wavelengths=None, required=False):
-    raw = _opt(args, config, key)
-    if raw is None:
-        if required and default_wavelengths is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return default_wavelengths
-    return scaler.length_in(raw)
-
-
-class _Scaler:
-    """Metre <-> wavelength conversion when --wavelength is given."""
-
-    def __init__(self, wavelength):
-        self.wavelength = float(wavelength) if wavelength else None
-        if self.wavelength is not None and self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-
-    def length_in(self, value: float) -> float:
-        return float(value) / self.wavelength if self.wavelength else float(value)
-
-    def length_out(self, value: float) -> float:
-        return float(value) * self.wavelength if self.wavelength else float(value)
-
-    def freq_out(self, value: float) -> float:
-        # bandwidth: cycles per wavelength -> cycles per metre
-        return float(value) / self.wavelength if self.wavelength else float(value)
-
-
+@contextlib.contextmanager
 def _open_out(path):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def _write_csv(path, header: str, rows) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_json(path, payload: dict) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
-def _assembly(args, config, scaler, degrees) -> AssemblyParams:
-    L = scaler.length_in(_opt(args, config, "source_length", required=True))
-    rho = scaler.length_in(_opt(args, config, "rho", required=True))
-    r = scaler.length_in(_opt(args, config, "distance", required=True))
-    theta = _angle_opt(args, config, "theta", 0.5 * math.pi, degrees)
-    return AssemblyParams(L, rho, r, theta)
+def _assembly(o) -> AssemblyParams:
+    return AssemblyParams(o.source_length, o.rho, o.distance, o.theta)
 
 
-def cmd_bandwidth_profile(args) -> int:
-    config = _load_config(args)
-    scaler = _Scaler(_opt(args, config, "wavelength"))
-    degrees = bool(_opt(args, config, "degrees", default=False))
-    params = _assembly(args, config, scaler, degrees)
-    tag = _opt(args, config, "direction", required=True)
-    if tag not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of x, y, z; got {tag!r}")
-    direction = _DIRECTIONS[tag]()
-    samples = int(_opt(args, config, "samples", default=201))
-    if samples < 2:
+def cmd_bandwidth_profile(o) -> int:
+    params = _assembly(o)
+    if o.samples < 2:
         raise ValueError("samples must be at least 2")
-    lo, hi = effective_interval(params, direction)
-    ls = np.linspace(lo, hi, samples)
-    fn = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}[tag]
+    lo, hi = effective_interval(params, getattr(ReceiveDirection, o.direction)())
+    ls = np.linspace(lo, hi, o.samples)
+    fn = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}[o.direction]
     ws = np.asarray(fn(ls, params), dtype=float)
-    rows = ((scaler.length_out(l), scaler.freq_out(w)) for l, w in zip(ls, ws))
-    _write_csv(_opt(args, config, "output"), "l,w", rows)
+    rows = ((l * o.wavelength, w / o.wavelength) for l, w in zip(ls, ws))
+    _write_csv(o.output, "l,w", rows)
     return EXIT_OK
 
 
@@ -189,76 +175,41 @@ def _parse_v_hat(text) -> tuple[float, float, float]:
     return tuple(parts)
 
 
-def cmd_k_number(args) -> int:
-    config = _load_config(args)
-    scaler = _Scaler(_opt(args, config, "wavelength"))
-    degrees = bool(_opt(args, config, "degrees", default=False))
-    params = _assembly(args, config, scaler, degrees)
-    tag = _opt(args, config, "direction", required=True)
-    if tag in _DIRECTIONS:
-        direction = _DIRECTIONS[tag]()
-    elif tag == "generic":
-        v_hat = _parse_v_hat(_opt(args, config, "v_hat", required=True))
-        direction = ReceiveDirection.generic(v_hat)
-        params = params.with_v_hat(v_hat)
+def cmd_k_number(o) -> int:
+    params = _assembly(o)
+    if o.direction != "generic":
+        direction = getattr(ReceiveDirection, o.direction)()
+    elif o.v_hat is None:
+        raise ValueError("missing required option --v-hat")
     else:
-        raise ValueError(f"direction must be x, y, z or generic; got {tag!r}")
-    tol = float(_opt(args, config, "tol", default=1e-8))
+        direction = ReceiveDirection.generic(o.v_hat)
+        params = params.with_v_hat(o.v_hat)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = k_number(params, direction, tol=tol)
+        report = k_number(params, direction, tol=o.tol)
     notes = sorted({str(w.message) for w in caught if issubclass(w.category, FarFieldWarning)})
-    payload = {
-        "k_exact": report.k_exact,
-        "k_upper": report.k_upper,
-        "k_lower": report.k_lower,
-        "k_linear": report.k_linear,
-        "quadrature_abs_err": report.quadrature_abs_err,
-        "warnings": notes,
-    }
-    _write_json(_opt(args, config, "output"), payload)
+    fields = ("k_exact", "k_upper", "k_lower", "k_linear", "quadrature_abs_err")
+    payload = {key: getattr(report, key) for key in fields}
+    _write_json(o.output, {**payload, "warnings": notes})
     return EXIT_OK
 
 
-def cmd_region_boundary(args) -> int:
-    config = _load_config(args)
-    scaler = _Scaler(_opt(args, config, "wavelength"))
-    degrees = bool(_opt(args, config, "degrees", default=False))
-    L = scaler.length_in(_opt(args, config, "source_length", required=True))
-    rho = scaler.length_in(_opt(args, config, "rho", required=True))
-    tag = _opt(args, config, "direction", required=True)
-    kind = _opt(args, config, "kind", default="smr")
-    threshold = float(_opt(args, config, "threshold", default=1.0))
-    theta_min = _angle_opt(args, config, "theta_min", math.pi / 16.0, degrees)
-    theta_max = _angle_opt(args, config, "theta_max", 15.0 * math.pi / 16.0, degrees)
-    steps = int(_opt(args, config, "theta_steps", default=64))
-    grid = np.linspace(theta_min, theta_max, steps)
-    curve = boundary_curve(tag, kind, grid, L, rho, threshold)
+def cmd_region_boundary(o) -> int:
+    grid = np.linspace(o.theta_min, o.theta_max, o.theta_steps)
+    curve = boundary_curve(o.direction, o.kind, grid, o.source_length, o.rho, o.threshold)
     rows = []
     for theta, radii in curve.samples:
         for index, radius in enumerate(radii):
-            rows.append((float(theta), scaler.length_out(radius), index))
-    _write_csv(_opt(args, config, "output"), "theta,radius,root_index", rows)
+            rows.append((float(theta), radius * o.wavelength, index))
+    _write_csv(o.output, "theta,radius,root_index", rows)
     return EXIT_OK
 
 
-def cmd_channel_svd(args) -> int:
-    config = _load_config(args)
-    scaler = _Scaler(_opt(args, config, "wavelength"))
-    degrees = bool(_opt(args, config, "degrees", default=False))
-    params = _assembly(args, config, scaler, degrees)
-    tag = _opt(args, config, "direction", default="z")
-    if tag not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of x, y, z; got {tag!r}")
-    delta_s = scaler.length_in(_opt(args, config, "delta_s", required=True))
-    delta_r = scaler.length_in(_opt(args, config, "delta_r", required=True))
-    threshold = float(_opt(args, config, "threshold", default=0.3))
-    output = _opt(args, config, "output", required=True)
-    spec = ChannelSpec(params, _DIRECTIONS[tag](), delta_s, delta_r)
+def cmd_channel_svd(o) -> int:
+    spec = ChannelSpec(_assembly(o), getattr(ReceiveDirection, o.direction)(), o.delta_s, o.delta_r)
     H = build_channel(spec)
-    matrix_csv = _opt(args, config, "matrix_csv")
-    if matrix_csv:
-        channel_to_csv(H, matrix_csv)
+    if o.matrix_csv:
+        channel_to_csv(H, o.matrix_csv)
     spectrum = singular_spectrum(H)
     maxnorm = normalized_spectrum(spectrum, "max")
     sumnorm = normalized_spectrum(spectrum, "sum")
@@ -266,13 +217,10 @@ def cmd_channel_svd(args) -> int:
         (i, float(s), float(mn), float(sn))
         for i, (s, mn, sn) in enumerate(zip(spectrum.sigmas, maxnorm, sumnorm))
     )
-    _write_csv(output, "index,sigma,sigma_maxnorm,sigma_sumnorm", rows)
-    sidecar = {
-        "n_t": spec.n_tx,
-        "n_r": spec.n_rx,
-        "usable_count": usable_count(spectrum, threshold),
-    }
-    _write_json(_sidecar_path(output), sidecar)
+    _write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", rows)
+    sidecar = {"n_t": spec.n_tx, "n_r": spec.n_rx,
+               "usable_count": usable_count(spectrum, o.threshold)}
+    _write_json(_sidecar_path(o.output), sidecar)
     return EXIT_OK
 
 
@@ -282,64 +230,24 @@ def _sidecar_path(output: str) -> str:
     return output + ".json"
 
 
-def cmd_scenario_map(args) -> int:
-    config = _load_config(args)
-    scaler = _Scaler(_opt(args, config, "wavelength"))
-    degrees = bool(_opt(args, config, "degrees", default=False))
-    mode = _opt(args, config, "mode", required=True)
-    scene = ScenePlacement(
-        mode,
-        scaler.length_in(_opt(args, config, "source_length", required=True)),
-        scaler.length_in(_opt(args, config, "source_height", required=True)),
-        (0.0, 0.0),
-        scaler.length_in(_opt(args, config, "receive_length", required=True)),
-    )
-    policy_name = _opt(args, config, "policy", default="fixed")
-    if policy_name == "fixed":
-        policy = _angle_opt(args, config, "phi", 0.0, degrees)
-    elif policy_name in ("gamma", "hcontrol"):
-        policy = policy_name
-    else:
-        raise ValueError(f"policy must be fixed, gamma or hcontrol; got {policy_name!r}")
-    grid = GroundGrid(
-        (
-            _length_opt(args, config, scaler, "x_min", default_wavelengths=-1000.0),
-            _length_opt(args, config, scaler, "x_max", default_wavelengths=1000.0),
-            int(_opt(args, config, "x_steps", default=41)),
-        ),
-        (
-            _length_opt(args, config, scaler, "y_min", default_wavelengths=0.0),
-            _length_opt(args, config, scaler, "y_max", default_wavelengths=1000.0),
-            int(_opt(args, config, "y_steps", default=21)),
-        ),
-    )
-    tol = float(_opt(args, config, "tol", default=1e-6))
-    cutoff = _opt(args, config, "cutoff")
-    cutoff = float(cutoff) if cutoff is not None else None
-    workers = int(_opt(args, config, "threads", default=1))
-    output = _opt(args, config, "output", required=True)
-    result = k_map(scene, policy, grid, tol=tol, cutoff=cutoff, workers=workers)
-    rows = (
-        (scaler.length_out(x), scaler.length_out(y), k) for x, y, k in kmap_rows(result)
-    )
-    _write_csv(output, "x,y,k", rows)
+def cmd_scenario_map(o) -> int:
+    scene = ScenePlacement(o.mode, o.source_length, o.source_height, (0.0, 0.0), o.receive_length)
+    policy = o.phi if o.policy == "fixed" else o.policy
+    grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
+    result = k_map(scene, policy, grid, tol=o.tol, workers=o.threads)
+    rows = ((x * o.wavelength, y * o.wavelength, k) for x, y, k in kmap_rows(result))
+    _write_csv(o.output, "x,y,k", rows)
     envelope = {
         "scene": {
-            "mode": scene.mode,
-            "source_length": scene.source_length,
-            "source_height": scene.source_height,
-            "receive_length": scene.receive_length,
+            key: getattr(scene, key)
+            for key in ("mode", "source_length", "source_height", "receive_length")
         },
         "policy": result.policy,
-        "grid": {
-            "x_range": list(grid.x_range),
-            "y_range": list(grid.y_range),
-        },
-        "cutoff": result.cutoff,
+        "grid": {"x_range": list(grid.x_range), "y_range": list(grid.y_range)},
         "lengths_in_wavelengths": True,
         "rows": int(grid.x_range[2] * grid.y_range[2]),
     }
-    _write_json(_sidecar_path(output), envelope)
+    _write_json(_sidecar_path(o.output), envelope)
     return EXIT_OK
 
 
@@ -347,11 +255,8 @@ def cmd_scenario_map(args) -> int:
 # verify: randomized self-check of the closed forms against brute oracles
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args)
-    draws = int(_opt(args, config, "draws", default=100))
-    seed = int(_opt(args, config, "seed", default=0))
-    rng = np.random.default_rng(seed)
+def cmd_verify(o) -> int:
+    rng = np.random.default_rng(o.seed)
     pointwise = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}
 
     worst_extrema = 0.0
@@ -360,11 +265,11 @@ def cmd_verify(args) -> int:
     worst_generic = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FarFieldWarning)
-        for _ in range(draws):
+        for _ in range(o.draws):
             params = random_params(rng)
             mirrored = AssemblyParams(params.L, params.rho, params.r, math.pi - params.theta)
             for tag in ("x", "y", "z"):
-                direction = _DIRECTIONS[tag]()
+                direction = getattr(ReceiveDirection, tag)()
                 summary = extrema(params, direction)
                 lo, hi = summary.effective_interval
                 fn = pointwise[tag]
@@ -383,20 +288,16 @@ def cmd_verify(args) -> int:
             # differences of unit-bounded direction cosines, so reference
             # the relative measure to that unit scale
             zs = np.linspace(-params.rho, params.rho, 11)
-            w_plus = np.asarray(bandwidth_z(zs, params))
-            w_minus = np.asarray(bandwidth_z(-zs, mirrored))
-            scale = np.maximum(np.abs(w_plus), 1.0)
-            worst_symmetry = max(worst_symmetry, float(np.max(np.abs(w_plus - w_minus) / scale)))
             xs = np.linspace(-min(params.d, params.rho), params.rho, 11)
-            wx1 = np.asarray(bandwidth_x(xs, params))
-            wx2 = np.asarray(bandwidth_x(xs, mirrored))
-            scale = np.maximum(np.abs(wx1), 1.0)
-            worst_symmetry = max(worst_symmetry, float(np.max(np.abs(wx1 - wx2) / scale)))
             ys = np.linspace(0.0, params.rho, 7)[1:]
-            wy1 = np.asarray(bandwidth_y(ys, params))
-            wy2 = np.asarray(bandwidth_y(-ys, params))
-            scale = np.maximum(np.abs(wy1), 1.0)
-            worst_symmetry = max(worst_symmetry, float(np.max(np.abs(wy1 - wy2) / scale)))
+            for w1, w2 in (
+                (bandwidth_z(zs, params), bandwidth_z(-zs, mirrored)),
+                (bandwidth_x(xs, params), bandwidth_x(xs, mirrored)),
+                (bandwidth_y(ys, params), bandwidth_y(-ys, params)),
+            ):
+                w1, w2 = np.asarray(w1), np.asarray(w2)
+                scale = np.maximum(np.abs(w1), 1.0)
+                worst_symmetry = max(worst_symmetry, float(np.max(np.abs(w1 - w2) / scale)))
             l_probe = float(rng.uniform(0.1, 1.0)) * params.rho
             for tag, v in (("z", (0, 0, 1)), ("x", (1, 0, 0)), ("y", (0, 1, 0))):
                 closed = float(pointwise[tag](l_probe, params))
@@ -423,24 +324,88 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Option table: each command's options, in the order they are resolved.
 
+AXES = ("x", "y", "z")
+CONFIG = Option("config", str, None, "JSON file supplying defaults for any option")
+UNITS = (
+    CONFIG,
+    Option("wavelength", _wavelength, 1.0,
+           "wavelength in metres; lengths are then read/written in metres"),
+    Option("degrees", bool, False, "interpret input angles as degrees"),
+)
+SOURCE_LENGTH = Option("source_length", float, REQUIRED, "source array length",
+                       kind="length", alias="-L")
+RHO = Option("rho", float, REQUIRED, "receive array half-length", kind="length")
+ASSEMBLY = (
+    SOURCE_LENGTH,
+    RHO,
+    Option("distance", float, REQUIRED, "centre-to-centre distance", kind="length", alias="-r"),
+    Option("theta", float, 0.5 * math.pi, "polar angle (default pi/2)", kind="angle"),
+)
+DIRECTION = Option("direction", str, REQUIRED, "receive array orientation", choices=AXES)
+OUTPUT = Option("output", str, None, "output path (default: stdout)", alias="-o")
+SIDECAR_OUTPUT = replace(OUTPUT, default=REQUIRED, help="output CSV path; JSON goes beside it")
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file supplying defaults for any option")
-    parser.add_argument("--wavelength", type=float,
-                        help="wavelength in metres; lengths are then read/written in metres")
-    parser.add_argument("--degrees", action="store_const", const=True, default=None,
-                        help="interpret input angles as degrees")
-    parser.add_argument("--output", "-o", help="output path (default: stdout)")
-
-
-def _add_assembly(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--source-length", "-L", dest="source_length", type=float,
-                        help="source array length")
-    parser.add_argument("--rho", type=float, help="receive array half-length")
-    parser.add_argument("--distance", "-r", dest="distance", type=float,
-                        help="centre-to-centre distance")
-    parser.add_argument("--theta", type=float, help="polar angle (default pi/2)")
+#: command name -> (function, help, options in resolution order, units first)
+COMMANDS = {
+    "bandwidth-profile": (cmd_bandwidth_profile, "tabulate w(l) over the effective interval", (
+        *UNITS, *ASSEMBLY, DIRECTION,
+        Option("samples", int, 201, "number of rows (default 201)"),
+        OUTPUT,
+    )),
+    "k-number": (cmd_k_number, "exact K number with bounds (JSON)", (
+        *UNITS, *ASSEMBLY, replace(DIRECTION, choices=AXES + ("generic",)),
+        Option("v_hat", _parse_v_hat, None, "comma-separated unit vector for --direction generic"),
+        Option("tol", float, 1e-8, "quadrature absolute tolerance (default 1e-8)"),
+        OUTPUT,
+    )),
+    "region-boundary": (cmd_region_boundary, "boundary radii per polar angle (CSV)", (
+        *UNITS, SOURCE_LENGTH, RHO, DIRECTION,
+        Option("kind", str, "smr", "multiplexing or non-constant-bandwidth boundary (default smr)",
+               choices=("smr", "ncsmr")),
+        Option("threshold", float, 1.0, "K0 for smr curves, delta-K for ncsmr curves (default 1)"),
+        Option("theta_min", float, math.pi / 16.0, "first polar angle (default pi/16)",
+               kind="angle"),
+        Option("theta_max", float, 15.0 * math.pi / 16.0, "last polar angle (default 15pi/16)",
+               kind="angle"),
+        Option("theta_steps", int, 64, "number of polar angles (default 64)"),
+        OUTPUT,
+    )),
+    "channel-svd": (cmd_channel_svd, "singular spectrum of the sampled channel", (
+        *UNITS, *ASSEMBLY, replace(DIRECTION, default="z"),
+        Option("delta_s", float, REQUIRED, "source antenna spacing", kind="length"),
+        Option("delta_r", float, REQUIRED, "receive antenna spacing", kind="length"),
+        Option("threshold", float, 0.3, "usability threshold (default 0.3)"),
+        SIDECAR_OUTPUT,
+        Option("matrix_csv", str, None, "also export the raw channel matrix to this CSV path"),
+    )),
+    "scenario-map": (cmd_scenario_map, "K-number map over the ground plane", (
+        *UNITS,
+        Option("mode", str, REQUIRED, "source placement", choices=("vertical", "horizontal")),
+        SOURCE_LENGTH,
+        Option("source_height", float, REQUIRED, "source centre height", kind="length"),
+        Option("receive_length", float, REQUIRED, "receive array length", kind="length"),
+        Option("policy", str, "fixed", "receive orientation policy (default fixed)",
+               choices=("fixed", "gamma", "hcontrol")),
+        Option("phi", float, 0.0, "orientation angle for --policy fixed", kind="angle"),
+        Option("x_min", float, -1000.0, "grid x minimum (default -1000 wavelengths)",
+               kind="length"),
+        Option("x_max", float, 1000.0, "grid x maximum (default 1000 wavelengths)", kind="length"),
+        Option("x_steps", int, 41, "grid x points (default 41)"),
+        Option("y_min", float, 0.0, "grid y minimum (default 0)", kind="length"),
+        Option("y_max", float, 1000.0, "grid y maximum (default 1000 wavelengths)", kind="length"),
+        Option("y_steps", int, 21, "grid y points (default 21)"),
+        Option("tol", float, 1e-6, "per-point quadrature tolerance (default 1e-6)"),
+        Option("threads", int, 1, "worker processes (default 1)"),
+        SIDECAR_OUTPUT,
+    )),
+    "verify": (cmd_verify, "randomized oracle self-check", (
+        CONFIG,
+        Option("draws", int, 100, "number of random geometries (default 100)"),
+        Option("seed", int, 0, "RNG seed (default 0)"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,77 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bandwidth-profile", help="tabulate w(l) over the effective interval")
-    _add_common(p)
-    _add_assembly(p)
-    p.add_argument("--direction", choices=("x", "y", "z"))
-    p.add_argument("--samples", type=int, help="number of rows (default 201)")
-    p.set_defaults(func=cmd_bandwidth_profile)
-
-    p = sub.add_parser("k-number", help="exact K number with bounds (JSON)")
-    _add_common(p)
-    _add_assembly(p)
-    p.add_argument("--direction", choices=("x", "y", "z", "generic"))
-    p.add_argument("--v-hat", dest="v_hat",
-                   help="comma-separated unit vector for --direction generic")
-    p.add_argument("--tol", type=float, help="quadrature absolute tolerance (default 1e-8)")
-    p.set_defaults(func=cmd_k_number)
-
-    p = sub.add_parser("region-boundary", help="boundary radii per polar angle (CSV)")
-    _add_common(p)
-    p.add_argument("--source-length", "-L", dest="source_length", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--direction", choices=("x", "y", "z"))
-    p.add_argument("--kind", choices=("smr", "ncsmr"),
-                   help="multiplexing or non-constant-bandwidth boundary (default smr)")
-    p.add_argument("--threshold", type=float,
-                   help="K0 for smr curves, delta-K for ncsmr curves (default 1)")
-    p.add_argument("--theta-min", dest="theta_min", type=float)
-    p.add_argument("--theta-max", dest="theta_max", type=float)
-    p.add_argument("--theta-steps", dest="theta_steps", type=int)
-    p.set_defaults(func=cmd_region_boundary)
-
-    p = sub.add_parser("channel-svd", help="singular spectrum of the sampled channel")
-    _add_common(p)
-    _add_assembly(p)
-    p.add_argument("--direction", choices=("x", "y", "z"))
-    p.add_argument("--delta-s", dest="delta_s", type=float, help="source antenna spacing")
-    p.add_argument("--delta-r", dest="delta_r", type=float, help="receive antenna spacing")
-    p.add_argument("--threshold", type=float, help="usability threshold (default 0.3)")
-    p.add_argument("--matrix-csv", dest="matrix_csv",
-                   help="also export the raw channel matrix to this CSV path")
-    p.set_defaults(func=cmd_channel_svd)
-
-    p = sub.add_parser("scenario-map", help="K-number map over the ground plane")
-    _add_common(p)
-    p.add_argument("--mode", choices=("vertical", "horizontal"))
-    p.add_argument("--source-length", "-L", dest="source_length", type=float)
-    p.add_argument("--source-height", dest="source_height", type=float)
-    p.add_argument("--receive-length", dest="receive_length", type=float)
-    p.add_argument("--policy", choices=("fixed", "gamma", "hcontrol"))
-    p.add_argument("--phi", type=float, help="orientation angle for --policy fixed")
-    p.add_argument("--x-min", dest="x_min", type=float,
-                   help="grid x minimum (default -1000 wavelengths)")
-    p.add_argument("--x-max", dest="x_max", type=float,
-                   help="grid x maximum (default 1000 wavelengths)")
-    p.add_argument("--x-steps", dest="x_steps", type=int)
-    p.add_argument("--y-min", dest="y_min", type=float,
-                   help="grid y minimum (default 0)")
-    p.add_argument("--y-max", dest="y_max", type=float,
-                   help="grid y maximum (default 1000 wavelengths)")
-    p.add_argument("--y-steps", dest="y_steps", type=int)
-    p.add_argument("--tol", type=float, help="per-point quadrature tolerance (default 1e-6)")
-    p.add_argument("--cutoff", type=float, help="display cutoff recorded in the metadata")
-    p.add_argument("--threads", type=int, help="worker processes (default 1)")
-    p.set_defaults(func=cmd_scenario_map)
-
-    p = sub.add_parser("verify", help="randomized oracle self-check")
-    p.add_argument("--config", help="JSON file supplying defaults for any option")
-    p.add_argument("--draws", type=int, help="number of random geometries (default 100)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt in options:
+            flags = (opt.flag, opt.alias) if opt.alias else (opt.flag,)
+            if opt.type is bool:
+                kwargs = {"action": "store_true", "default": None}
+            else:
+                # resolve applies any other type, to flags and config values alike
+                kwargs = {"choices": opt.choices or None,
+                          "type": opt.type if opt.type in (int, float) else None}
+            p.add_argument(*flags, dest=opt.name, help=opt.help, **kwargs)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -541,7 +447,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_v_hat(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        return args.func(resolve(args, args.options))
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -123,12 +123,25 @@ def _pointwise(params: AssemblyParams, direction: ReceiveDirection):
 
 
 def _breakpoints(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float, ...]:
-    # Seed the quadrature with the known stationary coordinate, if interior.
+    # Seed the quadrature with the coordinates where w(l) has a kink or a
+    # stationary point; adaptive_gauss drops those outside the interval.
     if direction.tag == "z":
         return (-params.r * math.cos(params.theta),)
     if direction.tag == "x" and not params.projection_inside:
         return (_x_stationary_point(params),)
-    return ()
+    if direction.is_axis:
+        return ()
+    # Generic w(l) has a kink where the stationary point u* of the spatial
+    # frequency crosses a source end u0 + l*v_z (see bandwidth_generic);
+    # that condition is linear in l.
+    vx, vy, vz = direction.unit_vector
+    d, c = params.d, params.r * math.cos(params.theta)
+    points = []
+    for u0 in (c - 0.5 * params.L, c + 0.5 * params.L):
+        slope = vz * d * vx - (vx * vx + vy * vy) * u0
+        if slope != 0.0:
+            points.append(-d * (vz * d - vx * u0) / slope)
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -181,7 +194,9 @@ def k_number(
                 seen["hi"] = w
             return w
 
-        value, abs_err = adaptive_gauss(tracked, interval[0], interval[1], tol=tol)
+        value, abs_err = adaptive_gauss(
+            tracked, interval[0], interval[1], tol=tol, breakpoints=_breakpoints(params, direction)
+        )
         length = interval[1] - interval[0]
         lower = seen["lo"] * length
         upper = seen["hi"] * length

@@ -39,13 +39,10 @@ __all__ = [
     "fraunhofer",
 ]
 
-#: residual bound a solved radius must satisfy in its defining equation.
+#: residual bound a solved radius must satisfy in its defining equation;
+#: it also rejects the pseudo-roots a sign change finds at a jump of the
+#: extrema (exact endfire geometries).
 RESIDUAL_TOL = 1e-9
-
-# Loose residual guard that rejects pseudo-roots found at jump
-# discontinuities (exact endfire geometries) while accepting genuine
-# crossings comfortably.
-_RESIDUAL_GUARD = 1e-7
 
 
 class R0Threshold(NamedTuple):
@@ -166,7 +163,7 @@ def smr_boundary(
     target = K0 / (2.0 * rho)
     g = lambda r: _w_max(direction, theta, L, rho, r) - target
     root = _largest_root(g, _scan_hi(L, rho))
-    if root is None or abs(g(root)) > _RESIDUAL_GUARD:
+    if root is None or abs(g(root)) > RESIDUAL_TOL:
         return None
     return root
 
@@ -183,7 +180,7 @@ def smr_boundary_y(theta: float, L: float, rho: float, K0: float) -> float | Non
     target = 2.0 * K0 / rho
     g = lambda r: _w_max("y", theta, L, rho, r) - target
     root = _largest_root(g, _scan_hi(L, rho))
-    if root is None or abs(g(root)) > _RESIDUAL_GUARD:
+    if root is None or abs(g(root)) > RESIDUAL_TOL:
         return None
     return root
 
@@ -201,7 +198,8 @@ def ncsmr_boundary(
     Solves ``w_range(r) = delta_k / rho`` on a log-spaced scan grid over
     ``[1, 4*R0]``; several crossings can exist for one angle (the array may
     enter and leave the region as the distance shrinks).  Roots are returned
-    in increasing order.
+    in increasing order; a crossing whose residual exceeds ``RESIDUAL_TOL``
+    is a jump of ``w_range``, not a root, and is dropped.
     """
     direction = _check_zx(direction)
     _check_positive(delta_k=delta_k)
@@ -217,7 +215,7 @@ def ncsmr_boundary(
             roots.append(float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)))
     if len(values) and values[-1] == 0.0:
         roots.append(float(grid[-1]))
-    return sorted(roots)
+    return sorted(root for root in roots if abs(g(root)) <= RESIDUAL_TOL)
 
 
 def _check_zx(direction: str) -> str:

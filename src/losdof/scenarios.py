@@ -88,13 +88,13 @@ class GroundGrid:
 class KMap:
     """K numbers over a ground grid; NaN marks masked or failed points.
 
-    ``cutoff`` is display metadata only; the stored values are raw.
+    ``policy`` is the label of the orientation policy the map was computed
+    under (``"gamma"``, ``"hcontrol"`` or ``"fixed(<phi>)"``).
     """
 
     grid: GroundGrid
     values: np.ndarray
     policy: str
-    cutoff: float | None = None
 
     def __post_init__(self):
         expected = (self.grid.x_range[2], self.grid.y_range[2])
@@ -190,15 +190,14 @@ def k_map(
     policy,
     grid: GroundGrid,
     tol: float = 1e-6,
-    cutoff: float | None = None,
     workers: int = 1,
 ) -> KMap:
     """K-number map over a ground grid under an orientation policy.
 
     ``policy`` is a fixed orientation angle (float, radians), ``"gamma"``,
-    or ``"hcontrol"`` (horizontal scenes only).  Values are assembled in
-    grid order regardless of ``workers``; each point is an independent pure
-    computation.
+    or ``"hcontrol"`` (horizontal scenes only); ``tol`` is the absolute
+    quadrature tolerance of each point.  Values are assembled in grid order
+    regardless of ``workers``; each point is an independent pure computation.
     """
     label = _policy_label(policy)
     xs, ys = grid.xs, grid.ys
@@ -211,7 +210,7 @@ def k_map(
         worker = partial(k_map_point, scene, policy, tol=tol)
         flat = [worker(x, y) for x, y in points]
     values = np.array(flat, dtype=float).reshape(len(xs), len(ys))
-    return KMap(grid, values, label, cutoff)
+    return KMap(grid, values, label)
 
 
 def _point_star(args) -> float:

@@ -127,6 +127,18 @@ class TestKNumberCommand:
         payload = json.loads(out.read_text())
         assert payload["k_exact"] == pytest.approx(16.261847046728192, abs=1e-9)
 
+    def test_generic_kink_inside_array(self, tmp_path):
+        # w(l) has a kink inside the array, where the stationary point of the
+        # spatial frequency crosses a source end; the reference is
+        # scipy.integrate.quad with that point given
+        out = tmp_path / "k.json"
+        assert run(["k-number", "-L", 310.5, "--rho", 15.5, "-r", 134.5935140817356,
+                    "--theta", 0.14755037867557017, "--direction", "generic",
+                    "--v-hat=-0.21570050791708067,-0.5919830393290182,-0.776549658445029",
+                    "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["k_exact"] == pytest.approx(37.373724012595, abs=1e-9)
+
 
 class TestRegionBoundaryCommand:
     def test_z_smr_contains_boresight(self, tmp_path):
@@ -256,6 +268,38 @@ class TestConfigFile:
         assert run(["bandwidth-profile", "--config", config, "--samples", 3,
                     "--output", out2]) == 0
         assert len(out2.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("command, options", [
+        ("bandwidth-profile", {"source_length": 50.0, "rho": 2.5, "distance": 37.5,
+                               "theta": 60.0, "direction": "x", "samples": 7}),
+        ("scenario-map", {"mode": "horizontal", "source_length": 50.0, "source_height": 25.0,
+                          "receive_length": 5.0, "policy": "fixed", "phi": 30.0,
+                          "x_min": -40.0, "x_max": 40.0, "x_steps": 3,
+                          "y_max": 30.0, "y_steps": 2, "tol": 1e-4}),
+    ])
+    def test_config_converted_like_flags(self, tmp_path, command, options):
+        # lengths in metres under --wavelength, angles in degrees under --degrees
+        options = {**options, "wavelength": 0.125, "degrees": True}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(options))
+        flags = []
+        for key, value in options.items():
+            flags += ["--" + key.replace("_", "-")] + ([] if value is True else [value])
+        out_config = tmp_path / "config.csv"
+        out_flags = tmp_path / "flags.csv"
+        assert run([command, "--config", config, "--output", out_config]) == 0
+        assert run([command, *flags, "--output", out_flags]) == 0
+        assert out_config.read_bytes() == out_flags.read_bytes()
+
+    @pytest.mark.parametrize("command", ["bandwidth-profile", "region-boundary", "channel-svd"])
+    def test_config_choice_checked(self, tmp_path, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "source_length": 400.0, "rho": 20.0, "distance": 8000.0,
+            "delta_s": 0.5, "delta_r": 0.5, "direction": "w",
+        }))
+        assert run([command, "--config", config, "--output", tmp_path / "out.csv"]) == 2
+        assert "--direction must be one of x, y, z; got 'w'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["bandwidth-profile", "--config", tmp_path / "nope.json",

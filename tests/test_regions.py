@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losdof import (
     AssemblyParams,
@@ -18,6 +20,7 @@ from losdof import (
     smr_boundary,
     smr_boundary_y,
 )
+from losdof.regions import RESIDUAL_TOL
 
 pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
 
@@ -161,6 +164,40 @@ class TestNcsmrBoundary:
         for root in roots:
             w = extrema_x(AssemblyParams(L, RHO, root, 0.6)).w_range
             assert abs(w - 1.0 / RHO) <= 1e-9
+
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_endfire_jumps_are_not_roots(self, theta):
+        # at exact endfire w_range jumps across the target between scan
+        # points; the sign change there is not a root
+        assert ncsmr_boundary("z", theta, L, RHO, 1.0) == []
+        roots = ncsmr_boundary("x", theta, L, RHO, 1.0)
+        assert roots
+        for root in roots:
+            w = extrema_x(AssemblyParams(L, RHO, root, theta)).w_range
+            assert abs(w - 1.0 / RHO) <= RESIDUAL_TOL
+
+
+@given(
+    L=st.floats(50.0, 500.0),
+    rho=st.floats(2.0, 30.0),
+    theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    threshold=st.floats(0.5, 3.0),
+)
+@settings(max_examples=8, deadline=None)
+def test_returned_radii_meet_residual_tol(L, rho, theta, threshold):
+    def residual(ex, root, attr, target):
+        return abs(getattr(ex(AssemblyParams(L, rho, root, theta)), attr) - target)
+
+    for tag, ex in (("z", extrema_z), ("x", extrema_x)):
+        root = smr_boundary(tag, theta, L, rho, threshold)
+        if root is not None:
+            assert residual(ex, root, "w_max", threshold / (2 * rho)) <= RESIDUAL_TOL
+        for root in ncsmr_boundary(tag, theta, L, rho, threshold):
+            assert residual(ex, root, "w_range", threshold / rho) <= RESIDUAL_TOL
+    root = smr_boundary_y(theta, L, rho, threshold)
+    if root is not None:
+        assert residual(extrema_y, root, "w_max", 2 * threshold / rho) <= RESIDUAL_TOL
 
 
 class TestYBoundary:
