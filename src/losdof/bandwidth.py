@@ -150,6 +150,20 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     norm = math.sqrt(vx * vx + vy * vy + vz * vz)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
+    (g_lo, g_hi, g_star), distance = _frequencies(l, (vx, vy, vz), params)
+    if (distance < 1e-9).any():
+        raise ValueError("receive point coincides with a source point (zero distance)")
+    out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
+    return float(out) if out.ndim == 0 else out
+
+
+def _frequencies(l, v_hat, params: AssemblyParams):
+    """``((g_lo, g_hi, g_star), distance to the source segment)`` at ``l``.
+
+    ``g_star`` is taken at ``u*`` clipped onto the segment, so it repeats an
+    end value when ``u*`` lies outside.
+    """
+    vx, vy, vz = v_hat
     l = np.asarray(l, dtype=float)
     dx = l * vx + params.d
     dy = l * vy
@@ -159,15 +173,12 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     alpha = dx * vx + dy * vy
     rho2 = dx * dx + dy * dy
     near = np.fmin(np.fmax(0.0, u_lo), u_hi)
-    if (np.sqrt(rho2 + near * near) < 1e-9).any():
-        raise ValueError("receive point coincides with a source point (zero distance)")
     # A u* outside the segment (infinite or NaN when alpha is 0 or tiny) is
     # clipped onto a source end, which is a candidate anyway.
     with np.errstate(all="ignore"):
         u_star = np.fmin(np.fmax(vz * rho2 / alpha, u_lo), u_hi)
-    g_lo, g_hi, g_star = ((alpha + vz * u) / np.sqrt(rho2 + u * u) for u in (u_lo, u_hi, u_star))
-    out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
-    return float(out) if out.ndim == 0 else out
+        g = tuple((alpha + vz * u) / np.sqrt(rho2 + u * u) for u in (u_lo, u_hi, u_star))
+    return g, np.sqrt(rho2 + near * near)
 
 
 def effective_interval(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -186,7 +187,7 @@ def cmd_k_number(o) -> int:
         params = params.with_v_hat(o.v_hat)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = k_number(params, direction, tol=o.tol)
+        report = k_number(params, direction)
     notes = sorted({str(w.message) for w in caught if issubclass(w.category, FarFieldWarning)})
     fields = ("k_exact", "k_upper", "k_lower", "k_linear", "quadrature_abs_err")
     payload = {key: getattr(report, key) for key in fields}
@@ -234,7 +235,7 @@ def cmd_scenario_map(o) -> int:
     scene = ScenePlacement(o.mode, o.source_length, o.source_height, (0.0, 0.0), o.receive_length)
     policy = o.phi if o.policy == "fixed" else o.policy
     grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
-    result = k_map(scene, policy, grid, tol=o.tol, workers=o.threads)
+    result = k_map(scene, policy, grid, workers=o.threads)
     rows = ((x * o.wavelength, y * o.wavelength, k) for x, y, k in kmap_rows(result))
     _write_csv(o.output, "x,y,k", rows)
     envelope = {
@@ -278,11 +279,10 @@ def cmd_verify(o) -> int:
                     worst_extrema, abs(s_hi - summary.w_max), abs(s_lo - summary.w_min)
                 )
                 report = k_number(params, direction)
-                slack = report.quadrature_abs_err + 1e-9
                 worst_sandwich = max(
                     worst_sandwich,
-                    report.k_lower - report.k_exact - slack,
-                    report.k_exact - report.k_upper - slack,
+                    report.k_lower - report.k_exact - 1e-9,
+                    report.k_exact - report.k_upper - 1e-9,
                 )
             # identities are exact up to round-off; the compared values are
             # differences of unit-bounded direction cosines, so reference
@@ -357,7 +357,6 @@ COMMANDS = {
     "k-number": (cmd_k_number, "exact K number with bounds (JSON)", (
         *UNITS, *ASSEMBLY, replace(DIRECTION, choices=AXES + ("generic",)),
         Option("v_hat", _parse_v_hat, None, "comma-separated unit vector for --direction generic"),
-        Option("tol", float, 1e-8, "quadrature absolute tolerance (default 1e-8)"),
         OUTPUT,
     )),
     "region-boundary": (cmd_region_boundary, "boundary radii per polar angle (CSV)", (
@@ -396,7 +395,6 @@ COMMANDS = {
         Option("y_min", float, 0.0, "grid y minimum (default 0)", kind="length"),
         Option("y_max", float, 1000.0, "grid y maximum (default 1000 wavelengths)", kind="length"),
         Option("y_steps", int, 21, "grid y points (default 21)"),
-        Option("tol", float, 1e-6, "per-point quadrature tolerance (default 1e-6)"),
         Option("threads", int, 1, "worker processes (default 1)"),
         SIDECAR_OUTPUT,
     )),
@@ -431,6 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process for ``main``; ``build_parser`` itself builds afresh.
+_parser = functools.cache(build_parser)
+
+
 def _attach_v_hat(argv) -> list:
     # argparse takes a value that starts with "-" but is not a plain number,
     # such as "-0.6,0,0.8", for an option; the "--v-hat=VALUE" form is not.
@@ -444,8 +446,7 @@ def _attach_v_hat(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_v_hat(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_v_hat(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(resolve(args, args.options))
     except QuadratureError as exc:

@@ -1,9 +1,11 @@
 """Achievable spatial degrees of freedom (the K number) of a LOS link.
 
 The K number is the integral of the local spatial bandwidth over the
-direction's effective interval.  Alongside the exact value (adaptive
-quadrature) this module provides the constant-bandwidth upper/lower bounds,
-the linear mid-point approximation, and the classic parallel-array formula.
+direction's effective interval, exact in closed form from path-length
+differences (see ``k_number``).  Alongside it this module provides the
+constant-bandwidth upper/lower bounds, the linear mid-point approximation,
+the classic parallel-array formula, and ``adaptive_gauss``, a reference
+quadrature for checks.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipe, ellipeinc, ellipk, ellipkinc
 
-from .bandwidth import (
+from .bandwidth import (  # bandwidth_x/y/z unused; bench/tracing.py patches them here
     FarFieldWarning,
+    _frequencies,
     _warn_near_field,
-    _x_stationary_point,
     bandwidth_generic,
     bandwidth_x,
     bandwidth_y,
@@ -111,46 +114,81 @@ def adaptive_gauss(
     return total, err_total
 
 
-def _pointwise(params: AssemblyParams, direction: ReceiveDirection):
-    if direction.tag == "z":
-        return lambda l: float(bandwidth_z(l, params))
-    if direction.tag == "x":
-        return lambda l: float(bandwidth_x(l, params))
-    if direction.tag == "y":
-        return lambda l: float(bandwidth_y(l, params))
-    v = direction.unit_vector
-    return lambda l: bandwidth_generic(l, v, params)
+def _source_ends(params: AssemblyParams, v):
+    # Axial offsets u0 of the source ends and k = d*v_x + v_z*u0: the distance
+    # from l*v to an end is D(l) = sqrt(l**2 + 2*k*l + d**2 + u0**2).
+    c = params.r * math.cos(params.theta)
+    u0 = np.array([c - 0.5 * params.L, c + 0.5 * params.L])
+    return u0, params.d * v[0] + v[2] * u0
 
 
-def _breakpoints(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float, ...]:
-    # Seed the quadrature with the coordinates where w(l) has a kink or a
-    # stationary point; adaptive_gauss drops those outside the interval.
-    if direction.tag == "z":
-        return (-params.r * math.cos(params.theta),)
-    if direction.tag == "x" and not params.projection_inside:
-        return (_x_stationary_point(params),)
-    if direction.is_axis:
-        return ()
-    # Generic w(l) has a kink where the stationary point u* of the spatial
-    # frequency crosses a source end u0 + l*v_z (see bandwidth_generic);
-    # that condition is linear in l.
-    vx, vy, vz = direction.unit_vector
-    d, c = params.d, params.r * math.cos(params.theta)
-    points = []
-    for u0 in (c - 0.5 * params.L, c + 0.5 * params.L):
-        slope = vz * d * vx - (vx * vx + vy * vy) * u0
-        if slope != 0.0:
-            points.append(-d * (vz * d - vx * u0) / slope)
-    return tuple(points)
+def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
+    """Edges of the pieces of ``[lo, hi]`` on which the spread keeps its candidates.
+
+    The maximum and minimum of ``g_lo``, ``g_hi`` and ``g*`` switch only where
+    ``u*`` crosses a source end, where ``g_lo = g_hi``, or where an end lies
+    on the array (``l = -k``).  Roots that squaring adds only split a piece.
+    """
+    vx, vy, vz = v
+    d = params.d
+    u0, k = _source_ends(params, v)
+    # u* crosses the end u0: l*(v_z*d*v_x - s*u0) + d*(v_z*d - v_x*u0) = 0.
+    with np.errstate(all="ignore"):
+        crossings = -d * (vz * d - vx * u0) / (vz * d * vx - (vx * vx + vy * vy) * u0)
+    # g_lo**2 = g_hi**2: (l + k_lo)**2 D_hi**2 = (l + k_hi)**2 D_lo**2.
+    square = [np.array([1.0, 2.0 * ki, ki * ki]) for ki in k]
+    dist2 = [np.array([1.0, 2.0 * ki, d * d + ui * ui]) for ki, ui in zip(k, u0)]
+    roots = np.roots(np.convolve(square[0], dist2[1]) - np.convolve(square[1], dist2[0]))
+    points = np.concatenate([crossings, roots[np.isreal(roots)].real, -k])
+    return np.unique(np.concatenate([[lo], points[(points > lo) & (points < hi)], [hi]]))
+
+
+def _stationary_integral(params: AssemblyParams, v, a, b):
+    # g* = sign(alpha)*sqrt((alpha**2 + q**2 v_z**2)/(alpha**2 + q**2)), alpha = s*l + d*v_x,
+    # q = d*|v_y|.  Its antiderivative in |alpha| is q*F(|alpha|/q), F(x) the integral of
+    # sqrt((t**2 + v_z**2)/(t**2 + 1)) over [0, x]: Legendre's forms, m = 1 - v_z**2.
+    vx, vy, vz = v
+    s = vx * vx + vy * vy
+    d = params.d
+    q = d * abs(vy)
+    alpha = np.abs(s * np.stack([a, b]) + d * vx)
+    m = 1.0 - vz * vz
+    if q == 0.0:
+        G = alpha
+    elif m == 1.0:
+        G = alpha * alpha / (np.hypot(alpha, q) + q)
+    else:
+        psi = np.arctan2(q, alpha)
+        tail = vz * vz * (ellipk(m) - ellipkinc(psi, m)) - (ellipe(m) - ellipeinc(psi, m))
+        G = q * tail + alpha * np.hypot(alpha, vz * q) / np.hypot(alpha, q)
+    return (G[1] - G[0]) / s
+
+
+def _exact_k(params: AssemblyParams, v, edges: np.ndarray) -> float:
+    """Integral of the spread: max minus min candidate, read at each piece's midpoint."""
+    a, b = edges[:-1], edges[1:]
+    u0, k = _source_ends(params, v)
+    k, c2 = k[:, None], (params.d ** 2 + u0 * u0)[:, None]
+    # g_end = dD/dl integrates to D(b) - D(a), written without cancellation.
+    terms = (b - a) * (a + b + 2.0 * k) / (np.sqrt(a * a + 2.0 * k * a + c2)
+                                           + np.sqrt(b * b + 2.0 * k * b + c2))
+    # argmax/argmin take the first of equal candidates, so a tie picks an end.
+    candidates = np.stack(_frequencies(0.5 * (a + b), v, params)[0])
+    top, bottom = candidates.argmax(axis=0), candidates.argmin(axis=0)
+    if 2 in top or 2 in bottom:
+        terms = np.vstack([terms, _stationary_integral(params, v, a, b)])
+    pieces = np.arange(a.size)
+    return float(np.sum(terms[top, pieces] - terms[bottom, pieces]))
 
 
 @dataclass(frozen=True)
 class KNumberReport:
     """Exact K number with its constant-bandwidth bounds and linear approximation.
 
-    ``k_lower <= k_exact <= k_upper`` holds within ``quadrature_abs_err``,
-    and ``k_linear`` is the midpoint of the two bounds when all three use the
-    same interval.
+    ``k_lower <= k_exact <= k_upper`` holds (generic bounds are observed
+    extremes), and ``k_linear`` is the midpoint of the two bounds when all
+    three use the same interval.  ``quadrature_abs_err`` is always ``0.0``
+    (``k_exact`` is a closed form); it stays for readers of the JSON report.
     """
 
     k_exact: float
@@ -161,47 +199,32 @@ class KNumberReport:
     quadrature_abs_err: float
 
 
-def k_number(
-    params: AssemblyParams,
-    direction: ReceiveDirection,
-    tol: float = 1e-8,
-) -> KNumberReport:
-    """K number by adaptive quadrature of the local spatial bandwidth.
+def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberReport:
+    """K number in closed form from path-length differences.
 
-    Integrates over the direction's effective interval (for e_y the half
-    interval already counts only the non-redundant freedom).  Axis
-    directions fill the bounds and the linear approximation from the
-    exact-interval closed forms; generic directions derive them from the
-    bandwidth extremes observed at the quadrature nodes.
+    Integrates the local spatial bandwidth over the direction's effective
+    interval (for e_y the half interval already counts only the
+    non-redundant freedom), piece by piece.  The frequency toward a source
+    end is the derivative of the distance to it, so it integrates to a
+    path-length difference (Miller, Appl. Opt. 2000); the stationary one to
+    elliptic integrals.  Axis directions fill the bounds and the linear
+    approximation from the exact-interval closed forms; generic directions
+    use the bandwidth extremes at fixed Gauss-Legendre nodes of each piece.
     """
-    interval = effective_interval(params, direction)
-    fn = _pointwise(params, direction)
+    lo, hi = effective_interval(params, direction)
+    v = tuple(float(c) for c in direction.unit_vector)
+    edges = _piece_edges(params, v, lo, hi)
+    value = _exact_k(params, v, edges)
     if direction.is_axis:
-        value, abs_err = adaptive_gauss(
-            fn, interval[0], interval[1], tol=tol, breakpoints=_breakpoints(params, direction)
-        )
         lower, upper = k_bounds(params, direction)
         linear = k_linear(params, direction)
     else:
         _warn_near_field(params)
-        seen = {"lo": math.inf, "hi": -math.inf}
-
-        def tracked(l: float) -> float:
-            w = fn(l)
-            if w < seen["lo"]:
-                seen["lo"] = w
-            if w > seen["hi"]:
-                seen["hi"] = w
-            return w
-
-        value, abs_err = adaptive_gauss(
-            tracked, interval[0], interval[1], tol=tol, breakpoints=_breakpoints(params, direction)
-        )
-        length = interval[1] - interval[0]
-        lower = seen["lo"] * length
-        upper = seen["hi"] * length
+        half = 0.5 * np.diff(edges)[:, None]
+        w = bandwidth_generic((edges[:-1, None] + half * (1.0 + _NODES)).ravel(), v, params)
+        lower, upper = float(w.min()) * (hi - lo), float(w.max()) * (hi - lo)
         linear = 0.5 * (lower + upper)
-    return KNumberReport(value, upper, lower, linear, direction, abs_err)
+    return KNumberReport(value, upper, lower, linear, direction, 0.0)
 
 
 def k_bounds(

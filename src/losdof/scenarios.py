@@ -16,9 +16,9 @@ policies:
     the array and both frequency extremes come from the same source ends
     (``r |cos(theta)| > L/2``).
 
-Maps are computed with the generic-direction quadrature of the local
-bandwidth (not the per-axis closed forms), so tilted orientations pick up
-every direction's contribution.
+Maps use the generic-direction closed form of the K number (not the
+per-axis closed forms), so tilted orientations pick up every direction's
+contribution.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -159,7 +158,7 @@ def _policy_label(policy) -> str:
     return f"fixed({float(policy):g})"
 
 
-def k_map_point(scene: ScenePlacement, policy, x: float, y: float, tol: float) -> float:
+def k_map_point(scene: ScenePlacement, policy, x: float, y: float) -> float:
     """K number at one ground position; NaN if masked or degenerate."""
     try:
         phi = _resolve_phi(policy, (x, y), scene)
@@ -180,7 +179,7 @@ def k_map_point(scene: ScenePlacement, policy, x: float, y: float, tol: float) -
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FarFieldWarning)
             direction = ReceiveDirection.generic(frame.params.v_hat)
-            return k_number(frame.params, direction, tol=tol).k_exact
+            return k_number(frame.params, direction).k_exact
     except ValueError:
         return math.nan
 
@@ -189,33 +188,30 @@ def k_map(
     scene: ScenePlacement,
     policy,
     grid: GroundGrid,
-    tol: float = 1e-6,
     workers: int = 1,
 ) -> KMap:
     """K-number map over a ground grid under an orientation policy.
 
     ``policy`` is a fixed orientation angle (float, radians), ``"gamma"``,
-    or ``"hcontrol"`` (horizontal scenes only); ``tol`` is the absolute
-    quadrature tolerance of each point.  Values are assembled in grid order
-    regardless of ``workers``; each point is an independent pure computation.
+    or ``"hcontrol"`` (horizontal scenes only).  Each point's K number is
+    exact (closed form).  Values are assembled in grid order regardless of
+    ``workers``; each point is an independent pure computation.
     """
     label = _policy_label(policy)
     xs, ys = grid.xs, grid.ys
     points = [(float(x), float(y)) for x in xs for y in ys]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_point_star, [(scene, policy, x, y, tol) for x, y in points],
+            flat = list(pool.map(_point_star, [(scene, policy, x, y) for x, y in points],
                                  chunksize=max(1, len(points) // (8 * workers))))
     else:
-        worker = partial(k_map_point, scene, policy, tol=tol)
-        flat = [worker(x, y) for x, y in points]
+        flat = [k_map_point(scene, policy, x, y) for x, y in points]
     values = np.array(flat, dtype=float).reshape(len(xs), len(ys))
     return KMap(grid, values, label)
 
 
 def _point_star(args) -> float:
-    scene, policy, x, y, tol = args
-    return k_map_point(scene, policy, x, y, tol)
+    return k_map_point(*args)
 
 
 def kmap_rows(kmap: KMap):

@@ -60,7 +60,7 @@ def test_criterion_1_r0_reproduction():
 def _exact_k_boundary(direction, theta: float, K0: float = 1.0) -> float:
     # root of k_number(r) = K0 by bisection on r
     def g(r: float) -> float:
-        return k_number(AssemblyParams(L, RHO, r, theta), direction, tol=1e-7).k_exact - K0
+        return k_number(AssemblyParams(L, RHO, r, theta), direction).k_exact - K0
 
     hi = 4.0 * R0_APPROX
     while g(hi) > 0:
@@ -133,7 +133,7 @@ def test_criterion_5_linear_approximation_error():
         errs = np.empty((64, 64))
         for i, r in enumerate(rs):
             for j, theta in enumerate(thetas):
-                rep = k_number(AssemblyParams(L, RHO, r, theta), direction, tol=1e-7)
+                rep = k_number(AssemblyParams(L, RHO, r, theta), direction)
                 errs[i, j] = abs(rep.k_linear - rep.k_exact)
         frac = float((errs <= 0.3).mean())
         if tag == "y":
@@ -244,7 +244,7 @@ def _scenario_k(scene: ScenePlacement, x: float, y: float, phi: float) -> float:
         phi,
     )
     direction = ReceiveDirection.generic(frame.params.v_hat)
-    return k_number(frame.params, direction, tol=1e-6).k_exact
+    return k_number(frame.params, direction).k_exact
 
 
 def test_criterion_9_scenario_invariances():

@@ -127,17 +127,26 @@ class TestKNumberCommand:
         payload = json.loads(out.read_text())
         assert payload["k_exact"] == pytest.approx(16.261847046728192, abs=1e-9)
 
-    def test_generic_kink_inside_array(self, tmp_path):
-        # w(l) has a kink inside the array, where the stationary point of the
-        # spatial frequency crosses a source end; the reference is
-        # scipy.integrate.quad with that point given
+    @pytest.mark.parametrize("link, expected", [
+        (["-L", 310.5, "--rho", 15.5, "-r", 134.5935140817356, "--theta", 0.14755037867557017,
+          "--v-hat=-0.21570050791708067,-0.5919830393290182,-0.776549658445029"],
+         37.373724012595),
+        (["-L", 201.5, "--rho", 19.75, "-r", 105.63736807171121, "--theta", 2.764020660964741,
+          "--v-hat=-0.5430228839371553,-0.7857897884027124,0.2960752538842032"],
+         9.620119051611999),
+        (["-L", 250.5, "--rho", 20.0, "-r", 76.71363806485385, "--theta", 2.503888889255462,
+          "--v-hat=-0.7146998109217237,-0.6720352680889345,0.19383699005372076"],
+         18.435297933713297),
+    ], ids=["stationary-crosses-end", "ends-equal-a", "ends-equal-b"])
+    def test_generic_kink_inside_array(self, tmp_path, link, expected):
+        # w(l) has a kink inside the array: where the stationary point of the
+        # spatial frequency crosses a source end, or where the frequencies
+        # toward the two ends are equal; the reference is scipy.integrate.quad
+        # with that point given
         out = tmp_path / "k.json"
-        assert run(["k-number", "-L", 310.5, "--rho", 15.5, "-r", 134.5935140817356,
-                    "--theta", 0.14755037867557017, "--direction", "generic",
-                    "--v-hat=-0.21570050791708067,-0.5919830393290182,-0.776549658445029",
-                    "--output", out]) == 0
+        assert run(["k-number", *link, "--direction", "generic", "--output", out]) == 0
         payload = json.loads(out.read_text())
-        assert payload["k_exact"] == pytest.approx(37.373724012595, abs=1e-9)
+        assert payload["k_exact"] == pytest.approx(expected, abs=1e-9)
 
 
 class TestRegionBoundaryCommand:
@@ -232,7 +241,7 @@ class TestScenarioMapCommand:
                     "--source-height", 400, "--receive-length", 40,
                     "--policy", "gamma", "--x-min", -300, "--x-max", 300,
                     "--x-steps", 4, "--y-min", 0, "--y-max", 300, "--y-steps", 3,
-                    "--tol", 1e-4, "--output", out]) == 0
+                    "--output", out]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,k"
         assert len(lines) == 1 + 4 * 3
@@ -246,7 +255,7 @@ class TestScenarioMapCommand:
                 "--source-height", 200, "--receive-length", 40,
                 "--policy", "fixed", "--phi", 0.6,
                 "--x-min", -300, "--x-max", 300, "--x-steps", 3,
-                "--y-min", 0, "--y-max", 200, "--y-steps", 2, "--tol", 1e-4]
+                "--y-min", 0, "--y-max", 200, "--y-steps", 2]
         out1 = tmp_path / "m1.csv"
         out2 = tmp_path / "m2.csv"
         run(base + ["--output", out1])
@@ -275,7 +284,7 @@ class TestConfigFile:
         ("scenario-map", {"mode": "horizontal", "source_length": 50.0, "source_height": 25.0,
                           "receive_length": 5.0, "policy": "fixed", "phi": 30.0,
                           "x_min": -40.0, "x_max": 40.0, "x_steps": 3,
-                          "y_max": 30.0, "y_steps": 2, "tol": 1e-4}),
+                          "y_max": 30.0, "y_steps": 2}),
     ])
     def test_config_converted_like_flags(self, tmp_path, command, options):
         # lengths in metres under --wavelength, angles in degrees under --degrees

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from losdof import (
     AssemblyParams,
@@ -17,7 +19,8 @@ from losdof import (
     k_parallel,
     rz_boresight,
 )
-from losdof.dof import adaptive_gauss
+from losdof.bandwidth import bandwidth_generic
+from losdof.dof import _piece_edges, adaptive_gauss
 
 from helpers import random_params, trapezoid_k
 
@@ -99,6 +102,13 @@ class TestKNumber:
                     (rep.k_upper + rep.k_lower) / 2, rel=1e-12, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("r, overlap", [(2.0, 8.0), (7.0, 3.0)])
+    def test_collinear_overlap_exact(self, r, overlap):
+        # e_z array on the source axis, running through a source end: the
+        # spread is 2 where the arrays overlap and 0 elsewhere
+        rep = k_number(AssemblyParams(10.0, 5.0, r, 0.0), Z)
+        assert rep.k_exact == pytest.approx(2.0 * overlap, abs=1e-12)
+
     def test_generic_matches_axis(self):
         p = AssemblyParams(400.0, 20.0, 700.0, 1.2, v_hat=(0.0, 0.0, 1.0))
         exact_axis = k_number(p, Z).k_exact
@@ -109,14 +119,32 @@ class TestKNumber:
         p = AssemblyParams(400.0, 20.0, 700.0, 1.2)
         v = (math.sin(0.6), 0.0, math.cos(0.6))
         neg = tuple(-c for c in v)
-        k1 = k_number(p, ReceiveDirection.generic(v), tol=1e-7).k_exact
-        k2 = k_number(p, ReceiveDirection.generic(neg), tol=1e-7).k_exact
+        k1 = k_number(p, ReceiveDirection.generic(v)).k_exact
+        k2 = k_number(p, ReceiveDirection.generic(neg)).k_exact
         assert k2 == pytest.approx(k1, abs=1e-6)
 
     def test_generic_bounds_sandwich(self):
         p = AssemblyParams(400.0, 20.0, 700.0, 1.2)
         rep = k_number(p, ReceiveDirection.generic((math.sin(0.4), 0.0, math.cos(0.4))))
         assert rep.k_lower <= rep.k_exact <= rep.k_upper + rep.quadrature_abs_err + 1e-9
+
+    @given(L=st.floats(10.0, 1e3), rho=st.floats(1.0, 1e2), r=st.floats(10.0, 1e5),
+           theta=st.floats(0.0, math.pi),
+           v=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda c: math.hypot(*c) > 0.1))
+    @settings(max_examples=60, deadline=None)
+    def test_generic_closed_form_property(self, L, rho, r, theta, v):
+        p = AssemblyParams(L, rho, r, theta)
+        # arrays that stay a wavelength off the source axis or past its ends
+        assume(p.d - rho > 1.0 or abs(r * math.cos(theta)) - 0.5 * L - rho > 1.0)
+        v = tuple(np.asarray(v) / math.hypot(*v))
+        rep = k_number(p, ReceiveDirection.generic(v))
+        edges = _piece_edges(p, v, -rho, rho)
+        reference, _ = adaptive_gauss(lambda l: bandwidth_generic(l, v, p), -rho, rho,
+                                      tol=1e-11, breakpoints=tuple(edges[1:-1]))
+        assert rep.k_exact == pytest.approx(reference, abs=1e-9)
+        assert rep.k_lower - 1e-9 <= rep.k_exact <= rep.k_upper + 1e-9
+        reverse = k_number(p, ReceiveDirection.generic(tuple(-c for c in v)))
+        assert reverse.k_exact == pytest.approx(rep.k_exact, abs=1e-9)
 
 
 class TestBoundsAndLinear:

@@ -24,7 +24,7 @@ VERTICAL = ScenePlacement("vertical", 400.0, 400.0, (0.0, 0.0), 40.0)
 HORIZONTAL = ScenePlacement("horizontal", 400.0, 200.0, (0.0, 0.0), 40.0)
 
 
-def k_at(scene, x, y, phi, tol=1e-7):
+def k_at(scene, x, y, phi):
     transform = vertical_scene_to_local if scene.mode == "vertical" else horizontal_scene_to_local
     frame = transform(
         ScenePlacement(scene.mode, scene.source_length, scene.source_height,
@@ -32,7 +32,7 @@ def k_at(scene, x, y, phi, tol=1e-7):
         phi,
     )
     direction = ReceiveDirection.generic(frame.params.v_hat)
-    return k_number(frame.params, direction, tol=tol).k_exact
+    return k_number(frame.params, direction).k_exact
 
 
 class TestGammaPolicy:
@@ -129,7 +129,7 @@ class TestKMap:
 
     def test_map_assembly_and_bounds(self):
         grid = GroundGrid((-400.0, 400.0, 5), (0.0, 400.0, 4))
-        result = k_map(VERTICAL, "gamma", grid, tol=1e-5)
+        result = k_map(VERTICAL, "gamma", grid)
         assert result.values.shape == (5, 4)
         finite = result.values[np.isfinite(result.values)]
         assert np.all(finite >= 0.0)
@@ -142,18 +142,18 @@ class TestKMap:
 
     def test_fixed_policy_label(self):
         grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
-        result = k_map(VERTICAL, 0.5, grid, tol=1e-4)
+        result = k_map(VERTICAL, 0.5, grid)
         assert result.policy == "fixed(0.5)"
 
     def test_hcontrol_requires_horizontal(self):
         grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
-        values = k_map(VERTICAL, "hcontrol", grid, tol=1e-4).values
+        values = k_map(VERTICAL, "hcontrol", grid).values
         assert np.all(np.isnan(values))
 
     def test_workers_produce_identical_map(self):
         grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 3))
-        serial = k_map(HORIZONTAL, "hcontrol", grid, tol=1e-5, workers=1)
-        parallel = k_map(HORIZONTAL, "hcontrol", grid, tol=1e-5, workers=2)
+        serial = k_map(HORIZONTAL, "hcontrol", grid, workers=1)
+        parallel = k_map(HORIZONTAL, "hcontrol", grid, workers=2)
         assert np.array_equal(serial.values, parallel.values, equal_nan=True)
 
     def test_unknown_policy_rejected(self):
