@@ -198,6 +198,75 @@ def effective_interval(params: AssemblyParams, direction: ReceiveDirection) -> t
     return (-rho, rho)
 
 
+def _dc(t, c):
+    # direction_cosine unchecked: 0/0 is NaN, and the extrema_* wrappers reject it.
+    return t / np.hypot(t, c)
+
+
+def _stationary(far, near):
+    """Where ``t/hypot(t, near) - t/hypot(t, far)`` is stationary in ``t > 0``.
+
+    ``t**2 = (far*near)**(4/3) / (far**(2/3) + near**(2/3))``, written
+    without the cancellation and overflow of the equivalent
+    ``(far**(2/3) - near**(2/3)) / (near**(-4/3) - far**(-4/3))``.
+    """
+    a = far ** (2.0 / 3.0)
+    b = near ** (2.0 / 3.0)
+    return a * b / np.sqrt(a + b)
+
+
+def _axis_extrema(tag: str, theta: float, L: float, rho: float, r):
+    """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over ``r``.
+
+    The closed forms behind ``extrema_z/x/y``, with every branch evaluated
+    and chosen elementwise (the branches those docstrings describe), so one
+    call covers a whole grid of centre distances.  Branches not taken may
+    divide by zero; the kernel never warns.
+    """
+    # A scalar r becomes a numpy scalar, whose arithmetic is cheaper than a 0-d array's.
+    r = np.asarray(r, dtype=float)[()]
+    cos_t = math.cos(theta)
+    d = r * math.sin(theta)
+    axial = r * abs(cos_t)
+    A = axial + 0.5 * L
+    B = axial - 0.5 * L
+    inside = axial <= 0.5 * L
+    with np.errstate(all="ignore"):
+        if tag == "z":
+            z0 = -r * cos_t
+            peak = 2.0 * _dc(0.5 * L, d)
+            w_max = np.where(np.abs(z0) <= rho, peak, _dc(A - rho, d) - _dc(B - rho, d))
+            w_min = _dc(A + rho, d) - _dc(B + rho, d)
+            argmax = np.minimum(rho, np.maximum(-rho, z0))
+        elif tag == "x":
+            lo = -np.minimum(d, rho)
+            x0 = _stationary(A, B) - d
+            argmax = np.where(inside | (x0 < lo), lo, np.where(x0 > rho, rho, x0))
+            u_lo, u_max, u_hi = d + lo, d + argmax, d + rho
+            w_max = np.where(inside, 1.0 - _dc(u_lo, A), _dc(u_max, B) - _dc(u_max, A))
+            w_min = np.where(
+                inside, 1.0 - _dc(u_hi, A),
+                np.minimum(_dc(u_lo, B) - _dc(u_lo, A), _dc(u_hi, B) - _dc(u_hi, A)),
+            )
+        else:
+            c_near = np.where(inside, d, np.hypot(d, B))
+            c_far = np.hypot(d, A)
+            y_star = _stationary(c_far, c_near)
+            argmax = np.where((y_star > 0.0) & (y_star < rho), y_star, rho)
+            w_max = _dc(argmax, c_near) - _dc(argmax, c_far)
+            w_min = np.zeros_like(w_max)
+    return w_max, w_min, argmax
+
+
+def _summary(tag: str, params: AssemblyParams, interval: tuple[float, float]) -> BandwidthSummary:
+    w_max, w_min, argmax = (
+        float(v) for v in _axis_extrema(tag, params.theta, params.L, params.rho, params.r)
+    )
+    if math.isnan(w_max - w_min):
+        raise ValueError("indeterminate bandwidth: a receive-array end coincides with a source end")
+    return BandwidthSummary(w_max, w_min, w_max - w_min, argmax, interval)
+
+
 def extrema_z(params: AssemblyParams) -> BandwidthSummary:
     """Bandwidth extrema over ``[-rho, rho]`` for the e_z orientation.
 
@@ -206,24 +275,7 @@ def extrema_z(params: AssemblyParams) -> BandwidthSummary:
     form branches on whether ``z0`` falls inside the array.
     """
     _warn_near_field(params)
-    d, rho = params.d, params.rho
-    z0 = -params.r * math.cos(params.theta)
-    if abs(z0) <= rho:
-        w_max = 2.0 * direction_cosine(0.5 * params.L, d)
-    else:
-        w_max = direction_cosine(params.A - rho, d) - direction_cosine(params.B - rho, d)
-    w_min = direction_cosine(params.A + rho, d) - direction_cosine(params.B + rho, d)
-    argmax = min(rho, max(-rho, z0))
-    return BandwidthSummary(w_max, w_min, w_max - w_min, argmax, (-rho, rho))
-
-
-def _x_stationary_point(params: AssemblyParams) -> float:
-    # Stationary point of the two-cosine difference; only defined off the
-    # projection-inside branch, where the near-end distance B is positive.
-    A, B, d = params.A, params.B, params.d
-    num = A ** (2.0 / 3.0) - B ** (2.0 / 3.0)
-    den = B ** (-4.0 / 3.0) - A ** (-4.0 / 3.0)
-    return math.sqrt(num / den) - d
+    return _summary("z", params, (-params.rho, params.rho))
 
 
 def extrema_x(params: AssemblyParams) -> BandwidthSummary:
@@ -235,28 +287,7 @@ def extrema_x(params: AssemblyParams) -> BandwidthSummary:
     ``x0`` is interior.
     """
     _warn_near_field(params)
-    d, rho = params.d, params.rho
-    lo = -min(d, rho)
-    interval = (lo, rho)
-    u_lo = max(d - rho, 0.0)
-    u_hi = d + rho
-    if params.projection_inside:
-        w_max = 1.0 - direction_cosine(u_lo, params.A)
-        w_min = 1.0 - direction_cosine(u_hi, params.A)
-        argmax = lo
-    else:
-        x0 = _x_stationary_point(params)
-        lo_val = direction_cosine(u_lo, params.B) - direction_cosine(u_lo, params.A)
-        hi_val = direction_cosine(u_hi, params.B) - direction_cosine(u_hi, params.A)
-        if x0 < lo:
-            w_max, w_min, argmax = lo_val, hi_val, lo
-        elif x0 > rho:
-            w_max, w_min, argmax = hi_val, lo_val, rho
-        else:
-            w_max = direction_cosine(d + x0, params.B) - direction_cosine(d + x0, params.A)
-            w_min = min(lo_val, hi_val)
-            argmax = x0
-    return BandwidthSummary(w_max, w_min, w_max - w_min, argmax, interval)
+    return _summary("x", params, (-min(params.d, params.rho), params.rho))
 
 
 def extrema_y(params: AssemblyParams) -> BandwidthSummary:
@@ -270,19 +301,7 @@ def extrema_y(params: AssemblyParams) -> BandwidthSummary:
     instead.
     """
     _warn_near_field(params)
-    rho = params.rho
-    c_near = params.d if params.projection_inside else math.hypot(params.d, params.B)
-    c_far = math.hypot(params.d, params.A)
-    argmax = rho
-    if c_near > 0.0:
-        k = (c_far / c_near) ** (4.0 / 3.0)
-        y_star_sq = (c_far * c_far - k * c_near * c_near) / (k - 1.0)
-        if y_star_sq > 0.0:
-            y_star = math.sqrt(y_star_sq)
-            if y_star < rho:
-                argmax = y_star
-    w_max = float(bandwidth_y(argmax, params)) if argmax > 0 else 0.0
-    return BandwidthSummary(w_max, 0.0, w_max, argmax, (0.0, rho))
+    return _summary("y", params, (0.0, params.rho))
 
 
 _EXTREMA = {"x": extrema_x, "y": extrema_y, "z": extrema_z}

@@ -11,21 +11,27 @@ bandwidth extrema with the full-array interval convention, i.e. they solve
     w_max(r) = 2 K0 / rho            (e_y boundary; that whole region is
                                       non-constant-bandwidth by nature)
 
-treating the distance ``r`` as the unknown at fixed polar angle.
+treating the distance ``r`` as the unknown at fixed polar angle.  Each
+scan grid of distances is evaluated in one array call of the closed-form
+extrema kernel, and each bracket is refined by Brent's method on the same
+kernel.  The solvers set no warning filter: the kernel never warns, so
+probes below ten wavelengths raise no ``FarFieldWarning`` and the module is
+safe to call from several threads.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .bandwidth import FarFieldWarning, extrema_x, extrema_y, extrema_z
-from .geometry import AssemblyParams, ReceiveDirection
+from .bandwidth import _axis_extrema
+# Unused here; kept because bench/tracing.py wraps these names.
+from .bandwidth import extrema_x, extrema_y, extrema_z  # noqa: F401
+from .geometry import ReceiveDirection
 
 __all__ = [
     "RegionCurve",
@@ -43,6 +49,9 @@ __all__ = [
 #: it also rejects the pseudo-roots a sign change finds at a jump of the
 #: extrema (exact endfire geometries).
 RESIDUAL_TOL = 1e-9
+
+#: radii on the log-spaced scan grid of ``ncsmr_boundary``.
+_SCAN_POINTS = 2048
 
 
 class R0Threshold(NamedTuple):
@@ -101,23 +110,13 @@ def _check_positive(**values: float):
             raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _extrema_quiet(direction: str, theta: float, L: float, rho: float, r: float):
-    # Root scans probe arbitrarily small distances; the far-field caveat is
-    # about user-requested geometries, not solver probes.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FarFieldWarning)
-        params = AssemblyParams(L, rho, r, theta)
-        if direction == "y":
-            return extrema_y(params)
-        return extrema_z(params) if direction == "z" else extrema_x(params)
+def _excess(tag: str, theta: float, L: float, rho: float, target: float, spread: bool):
+    """``w(r) - target`` at scalar or array ``r``; ``w`` is w_max, or w_range if ``spread``."""
+    def g(r):
+        w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
+        return (w_max - w_min if spread else w_max) - target
 
-
-def _w_max(direction: str, theta: float, L: float, rho: float, r: float) -> float:
-    return _extrema_quiet(direction, theta, L, rho, r).w_max
-
-
-def _w_range(direction: str, theta: float, L: float, rho: float, r: float) -> float:
-    return _extrema_quiet(direction, theta, L, rho, r).w_range
+    return g
 
 
 def _scan_hi(L: float, rho: float) -> float:
@@ -127,7 +126,7 @@ def _scan_hi(L: float, rho: float) -> float:
 
 
 def _largest_root(g, r_hi: float, r_floor: float = 1e-6) -> float | None:
-    """Outermost zero of ``g``: geometric scan downward, then Brent refinement."""
+    """Outermost zero of ``g``: geometric grid downward, then Brent refinement."""
     hi = r_hi
     g_hi = g(hi)
     # If the target is still exceeded out here, push the start further out.
@@ -136,18 +135,20 @@ def _largest_root(g, r_hi: float, r_floor: float = 1e-6) -> float | None:
         g_hi = g(hi)
     if g_hi == 0.0:
         return hi
+    # hi, hi/step, (hi/step)/step, ... down to r_floor, by repeated division.
     step = 2.0 ** 0.25
-    lo = hi / step
-    while lo > r_floor:
-        g_lo = g(lo)
-        if g_lo == 0.0:
-            return lo
-        if g_lo * g_hi < 0:
-            root = brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)
-            return float(root)
-        hi, g_hi = lo, g_lo
-        lo /= step
-    return None
+    count = math.ceil(math.log(hi / r_floor) / math.log(step)) + 2
+    grid = np.divide.accumulate(np.r_[hi, np.full(count, step)])
+    grid = grid[grid > r_floor]
+    values = np.r_[g_hi, g(grid[1:])]
+    # First zero or sign change from the top.
+    hits = np.flatnonzero((values[1:] == 0.0) | (values[1:] * values[:-1] < 0))
+    if not hits.size:
+        return None
+    i = hits[0] + 1
+    if values[i] == 0.0:
+        return float(grid[i])
+    return float(brentq(g, grid[i], grid[i - 1], xtol=1e-12, rtol=1e-12))
 
 
 def smr_boundary(
@@ -159,9 +160,7 @@ def smr_boundary(
     orientation (the bandwidth maximum eventually decreases with distance).
     Returns None when no distance attains the target.
     """
-    direction = _check_zx(direction)
-    target = K0 / (2.0 * rho)
-    g = lambda r: _w_max(direction, theta, L, rho, r) - target
+    g = _excess(_check_zx(direction), theta, L, rho, K0 / (2.0 * rho), spread=False)
     root = _largest_root(g, _scan_hi(L, rho))
     if root is None or abs(g(root)) > RESIDUAL_TOL:
         return None
@@ -177,8 +176,7 @@ def smr_boundary_y(theta: float, L: float, rho: float, K0: float) -> float | Non
     approximation rather than a constant one.
     """
     _check_positive(K0=K0)
-    target = 2.0 * K0 / rho
-    g = lambda r: _w_max("y", theta, L, rho, r) - target
+    g = _excess("y", theta, L, rho, 2.0 * K0 / rho, spread=False)
     root = _largest_root(g, _scan_hi(L, rho))
     if root is None or abs(g(root)) > RESIDUAL_TOL:
         return None
@@ -186,36 +184,28 @@ def smr_boundary_y(theta: float, L: float, rho: float, K0: float) -> float | Non
 
 
 def ncsmr_boundary(
-    direction: str,
-    theta: float,
-    L: float,
-    rho: float,
-    delta_k: float,
-    scan_points: int = 2048,
+    direction: str, theta: float, L: float, rho: float, delta_k: float
 ) -> list[float]:
     """All non-constant-bandwidth boundary radii at polar angle ``theta``.
 
-    Solves ``w_range(r) = delta_k / rho`` on a log-spaced scan grid over
-    ``[1, 4*R0]``; several crossings can exist for one angle (the array may
-    enter and leave the region as the distance shrinks).  Roots are returned
-    in increasing order; a crossing whose residual exceeds ``RESIDUAL_TOL``
-    is a jump of ``w_range``, not a root, and is dropped.
+    Solves ``w_range(r) = delta_k / rho`` on a log-spaced grid of
+    ``_SCAN_POINTS`` (2,048) radii over ``[1, 4*R0]``; several crossings can
+    exist for one angle (the array may enter and leave the region as the
+    distance shrinks).  Roots are returned in increasing order; a crossing
+    whose residual exceeds ``RESIDUAL_TOL`` is a jump of ``w_range``, not a
+    root, and is dropped.
     """
     direction = _check_zx(direction)
     _check_positive(delta_k=delta_k)
-    target = delta_k / rho
-    grid = np.geomspace(1.0, _scan_hi(L, rho), scan_points)
-    values = np.array([_w_range(direction, theta, L, rho, r) - target for r in grid])
-    g = lambda r: _w_range(direction, theta, L, rho, r) - target
-    roots: list[float] = []
-    for lo, hi, g_lo, g_hi in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
-        if g_lo == 0.0:
-            roots.append(float(lo))
-        elif g_lo * g_hi < 0:
-            roots.append(float(brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)))
-    if len(values) and values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(root for root in roots if abs(g(root)) <= RESIDUAL_TOL)
+    g = _excess(direction, theta, L, rho, delta_k / rho, spread=True)
+    grid = np.geomspace(1.0, _scan_hi(L, rho), _SCAN_POINTS)
+    values = g(grid)
+    brackets = np.flatnonzero(values[:-1] * values[1:] < 0)
+    roots = np.sort(np.r_[
+        grid[values == 0.0],
+        [brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12) for i in brackets],
+    ])
+    return [float(root) for root in roots[np.abs(g(roots)) <= RESIDUAL_TOL]]
 
 
 def _check_zx(direction: str) -> str:

@@ -21,6 +21,7 @@ from losdof import (
     extrema_z,
     rz_boresight,
 )
+from losdof.bandwidth import _axis_extrema
 
 from helpers import random_params, scan_extrema, scan_spread
 
@@ -339,6 +340,41 @@ class TestExtrema:
         s = extrema_z(p)
         assert math.isfinite(s.w_max) and math.isfinite(s.w_min)
         assert s.w_max == 0.0  # beyond the source end, no angular spread on e_z
+
+
+AXIS_FORMS = {"z": bandwidth_z, "x": bandwidth_x, "y": bandwidth_y}
+
+
+@given(
+    tag=st.sampled_from("zxy"),
+    L=st.floats(10.0, 1e3),
+    rho=st.floats(1.0, 1e2),
+    theta=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi)),
+)
+@settings(max_examples=60, deadline=None)
+def test_axis_extrema_kernel_over_r(tag, L, rho, theta):
+    r = np.geomspace(1e-3, 1e6, 37)
+    if abs(math.cos(theta)) > 1e-9:
+        # straddle the projection-inside switch r*|cos(theta)| = L/2
+        edge = 0.5 * L / abs(math.cos(theta))
+        r = np.sort(np.r_[r, edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9])])
+    w_max, w_min, argmax = _axis_extrema(tag, theta, L, rho, r)
+    for i, ri in enumerate(r):
+        s_max, s_min, s_arg = _axis_extrema(tag, theta, L, rho, float(ri))
+        np.testing.assert_allclose([w_max[i], w_min[i]], [s_max, s_min], rtol=0, atol=1e-15)
+        # the stationary point is ill-conditioned: numpy's array and scalar
+        # power loops may differ by an ulp, which moves x0 and y* slightly
+        assert argmax[i] == pytest.approx(s_arg, rel=1e-10, abs=1e-10)
+        p = AssemblyParams(L, rho, ri, theta)
+        if ri < 10.0 or (p.d == 0.0 and ri <= 0.5 * L + rho) or abs(p.B) < 1e-3:
+            # near field, a receive array that meets the source segment, or
+            # a near source end so close to the e_x line that its peak is
+            # narrower than the oracle's scan
+            continue
+        lo, hi = effective_interval(p, ReceiveDirection(tag))
+        o_lo, o_hi = scan_extrema(lambda v: AXIS_FORMS[tag](v, p), lo, hi)
+        assert w_max[i] == pytest.approx(o_hi, abs=1e-9)
+        assert w_min[i] == pytest.approx(o_lo, abs=1e-9)
 
 
 class TestFarFieldFlag:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from losdof import (
     AssemblyParams,
+    FarFieldWarning,
     ReceiveDirection,
     boundary_curve,
     extrema_x,
@@ -246,3 +249,129 @@ class TestBoundaryCurve:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             boundary_curve("z", "smr", [1.0, 0.5], L, RHO, 1.0)
+
+
+class TestConcurrency:
+    def test_threads_match_serial_and_leave_warning_filters_alone(self):
+        thetas = np.linspace(0.0, math.pi, 16)
+        jobs = [("x", "ncsmr"), ("y", "smr")] * 2
+
+        def curve(job):
+            return boundary_curve(job[0], job[1], thetas, L, RHO, 1.0)
+
+        serial = [curve(job) for job in jobs]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(curve, jobs))
+            assert warnings.filters == filters
+        assert threaded == serial
+        # the ncsmr scan starts at r = 1, below the far-field limit of 10
+        assert not [w for w in caught if issubclass(w.category, FarFieldWarning)]
+
+
+PIN_THETAS = np.linspace(0.0, math.pi, 16)
+# Boundary radii at L = 400, rho = 20, delta_k = K0 = 1 on PIN_THETAS, as
+# the per-radius scalar scans gave them before the grids became array calls;
+# kind and tag as in boundary_curve.
+PINNED_ROOTS = {
+    ("ncsmr", "z"): [
+        (),
+        (123.54883660581477, 352.6894630920414),
+        (104.38280547995802, 470.02715317816023),
+        (97.04314295008811, 557.6019502075604),
+        (97.58067364512303, 593.2949077790604),
+        (107.54818460276587, 556.8956357466394),
+        (142.53063834870437, 417.2752927547152),
+        (),
+        (),
+        (142.53063834870437, 417.27529275471517),
+        (107.5481846027656, 556.895635746639),
+        (97.58067364512283, 593.2949077790606),
+        (97.04314295008814, 557.6019502075607),
+        (104.38280547995791, 470.0271531781602),
+        (123.54883660581486, 352.6894630920414),
+        (),
+    ],
+    ("smr", "z"): [
+        (),
+        (834.3830706682152,),
+        (2724.3369208928166,),
+        (5584.29813901811,),
+        (8879.04318778583,),
+        (12030.342189194453,),
+        (14489.905307095612,),
+        (15830.21837198569,),
+        (15830.218371985682,),
+        (14489.9053070956,),
+        (12030.342189194449,),
+        (8879.043187785826,),
+        (5584.298139018147,),
+        (2724.336920892805,),
+        (834.3830706682219,),
+        (),
+    ],
+    ("ncsmr", "x"): [
+        (199.49968710876348, 446.3172876215587),
+        (213.66653269562298, 221.43486011100157, 540.7250817375119),
+        (254.40260053364491,),
+        (321.3387877805952,),
+        (375.05542943181626,),
+        (351.3818666462191,),
+        (301.2094993907446,),
+        (262.50815336180824,),
+        (262.5081533618084,),
+        (301.2094993907441,),
+        (351.3818666462198,),
+        (375.05542943181706,),
+        (321.3387877805957,),
+        (254.40260053364497,),
+        (213.666532695623, 221.4348601110017, 540.7250817375115),
+        (199.49968710876396, 446.3172876215592),
+    ],
+    ("smr", "x"): [
+        (599.4161347196666,),
+        (3345.3969066136756,),
+        (5973.467869341789,),
+        (7610.335551436415,),
+        (7971.900135975828,),
+        (6951.992038030252,),
+        (4727.56756853576,),
+        (1674.9824940748142,),
+        (1674.982494074809,),
+        (4727.56756853576,),
+        (6951.992038030257,),
+        (7971.900135975805,),
+        (7610.335551436431,),
+        (5973.467869341805,),
+        (3345.3969066136847,),
+        (599.4161347196674,),
+    ],
+    ("smr", "y"): [
+        (344.959004118015,),
+        (333.38989782339036,),
+        (297.0967207287798,),
+        (225.21701417099413,),
+        (166.48371637297058,),
+        (135.26249166696314,),
+        (117.40831497089853,),
+        (107.29803580760478,),
+        (107.29803580760475,),
+        (117.40831497089852,),
+        (135.26249166696314,),
+        (166.4837163729705,),
+        (225.21701417099408,),
+        (297.09672072877964,),
+        (333.38989782339024,),
+        (344.959004118015,),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind,tag", list(PINNED_ROOTS))
+def test_roots_pinned(kind, tag):
+    curve = boundary_curve(tag, kind, PIN_THETAS, L, RHO, 1.0)
+    for (theta, radii), expected in zip(curve.samples, PINNED_ROOTS[kind, tag]):
+        assert len(radii) == len(expected), theta
+        assert radii == pytest.approx(expected, rel=1e-12), theta
