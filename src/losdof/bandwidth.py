@@ -150,26 +150,30 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     norm = math.sqrt(vx * vx + vy * vy + vz * vz)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
-    (g_lo, g_hi, g_star), distance = _frequencies(l, (vx, vy, vz), params)
+    c = params.r * math.cos(params.theta)
+    (g_lo, g_hi, g_star), distance = _frequencies(l, (vx, vy, vz), params.d, c, params.L)
     if (distance < 1e-9).any():
         raise ValueError("receive point coincides with a source point (zero distance)")
     out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
     return float(out) if out.ndim == 0 else out
 
 
-def _frequencies(l, v_hat, params: AssemblyParams):
+def _frequencies(l, v_hat, d, c, L):
     """``((g_lo, g_hi, g_star), distance to the source segment)`` at ``l``.
 
-    ``g_star`` is taken at ``u*`` clipped onto the segment, so it repeats an
-    end value when ``u*`` lies outside.
+    ``d`` is the distance from the receive centre to the source axis and
+    ``c = r*cos(theta)`` its axial offset from the source centre; ``l``,
+    the components of ``v_hat``, ``d``, ``c`` and ``L`` broadcast, so one
+    call covers many links.  ``g_star`` is taken at ``u*`` clipped onto the
+    segment, so it repeats an end value when ``u*`` lies outside.
     """
     vx, vy, vz = v_hat
     l = np.asarray(l, dtype=float)
-    dx = l * vx + params.d
+    dx = l * vx + d
     dy = l * vy
-    u_mid = l * vz + params.r * math.cos(params.theta)
-    u_lo = u_mid - 0.5 * params.L
-    u_hi = u_mid + 0.5 * params.L
+    u_mid = l * vz + c
+    u_lo = u_mid - 0.5 * L
+    u_hi = u_mid + 0.5 * L
     alpha = dx * vx + dy * vy
     rho2 = dx * dx + dy * dy
     near = np.fmin(np.fmax(0.0, u_lo), u_hi)

@@ -232,6 +232,8 @@ def _sidecar_path(output: str) -> str:
 
 
 def cmd_scenario_map(o) -> int:
+    if o.policy == "hcontrol" and o.mode != "horizontal":
+        raise ValueError("--policy hcontrol needs --mode horizontal")
     scene = ScenePlacement(o.mode, o.source_length, o.source_height, (0.0, 0.0), o.receive_length)
     policy = o.phi if o.policy == "fixed" else o.policy
     grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
@@ -247,6 +249,7 @@ def cmd_scenario_map(o) -> int:
         "grid": {"x_range": list(grid.x_range), "y_range": list(grid.y_range)},
         "lengths_in_wavelengths": True,
         "rows": int(grid.x_range[2] * grid.y_range[2]),
+        "status_counts": result.status_counts,
     }
     _write_json(_sidecar_path(o.output), envelope)
     return EXIT_OK
@@ -395,7 +398,8 @@ COMMANDS = {
         Option("y_min", float, 0.0, "grid y minimum (default 0)", kind="length"),
         Option("y_max", float, 1000.0, "grid y maximum (default 1000 wavelengths)", kind="length"),
         Option("y_steps", int, 21, "grid y points (default 21)"),
-        Option("threads", int, 1, "worker processes (default 1)"),
+        Option("threads", int, 1, "accepted for compatibility, at least 1; the map is "
+                                   "one array pass (default 1)"),
         SIDECAR_OUTPUT,
     )),
     "verify": (cmd_verify, "randomized oracle self-check", (

@@ -2,7 +2,8 @@
 
 The K number is the integral of the local spatial bandwidth over the
 direction's effective interval, exact in closed form from path-length
-differences (see ``k_number``).  Alongside it this module provides the
+differences (see ``k_number``; ``k_exact`` evaluates it for a whole batch of
+links in one array pass).  Alongside it this module provides the
 constant-bandwidth upper/lower bounds, the linear mid-point approximation,
 the classic parallel-array formula, and ``adaptive_gauss``, a reference
 quadrature for checks.
@@ -34,6 +35,7 @@ __all__ = [
     "KNumberReport",
     "QuadratureError",
     "k_number",
+    "k_exact",
     "k_bounds",
     "k_linear",
     "k_parallel",
@@ -114,71 +116,105 @@ def adaptive_gauss(
     return total, err_total
 
 
-def _source_ends(params: AssemblyParams, v):
-    # Axial offsets u0 of the source ends and k = d*v_x + v_z*u0: the distance
-    # from l*v to an end is D(l) = sqrt(l**2 + 2*k*l + d**2 + u0**2).
-    c = params.r * math.cos(params.theta)
-    u0 = np.array([c - 0.5 * params.L, c + 0.5 * params.L])
-    return u0, params.d * v[0] + v[2] * u0
-
-
-def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
-    """Edges of the pieces of ``[lo, hi]`` on which the spread keeps its candidates.
-
-    The maximum and minimum of ``g_lo``, ``g_hi`` and ``g*`` switch only where
-    ``u*`` crosses a source end, where ``g_lo = g_hi``, or where an end lies
-    on the array (``l = -k``).  Roots that squaring adds only split a piece.
-    """
-    vx, vy, vz = v
-    d = params.d
-    u0, k = _source_ends(params, v)
-    # u* crosses the end u0: l*(v_z*d*v_x - s*u0) + d*(v_z*d - v_x*u0) = 0.
-    with np.errstate(all="ignore"):
-        crossings = -d * (vz * d - vx * u0) / (vz * d * vx - (vx * vx + vy * vy) * u0)
-    # g_lo**2 = g_hi**2: (l + k_lo)**2 D_hi**2 = (l + k_hi)**2 D_lo**2.
-    square = [np.array([1.0, 2.0 * ki, ki * ki]) for ki in k]
-    dist2 = [np.array([1.0, 2.0 * ki, d * d + ui * ui]) for ki, ui in zip(k, u0)]
-    roots = np.roots(np.convolve(square[0], dist2[1]) - np.convolve(square[1], dist2[0]))
-    points = np.concatenate([crossings, roots[np.isreal(roots)].real, -k])
-    return np.unique(np.concatenate([[lo], points[(points > lo) & (points < hi)], [hi]]))
-
-
-def _stationary_integral(params: AssemblyParams, v, a, b):
+def _stationary_integral(d, v, a, b):
     # g* = sign(alpha)*sqrt((alpha**2 + q**2 v_z**2)/(alpha**2 + q**2)), alpha = s*l + d*v_x,
     # q = d*|v_y|.  Its antiderivative in |alpha| is q*F(|alpha|/q), F(x) the integral of
     # sqrt((t**2 + v_z**2)/(t**2 + 1)) over [0, x]: Legendre's forms, m = 1 - v_z**2.
-    vx, vy, vz = v
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     s = vx * vx + vy * vy
-    d = params.d
-    q = d * abs(vy)
+    q = d * np.abs(vy)
     alpha = np.abs(s * np.stack([a, b]) + d * vx)
     m = 1.0 - vz * vz
-    if q == 0.0:
-        G = alpha
-    elif m == 1.0:
-        G = alpha * alpha / (np.hypot(alpha, q) + q)
-    else:
-        psi = np.arctan2(q, alpha)
-        tail = vz * vz * (ellipk(m) - ellipkinc(psi, m)) - (ellipe(m) - ellipeinc(psi, m))
-        G = q * tail + alpha * np.hypot(alpha, vz * q) / np.hypot(alpha, q)
+    psi = np.arctan2(q, alpha)
+    tail = vz * vz * (ellipk(m) - ellipkinc(psi, m)) - (ellipe(m) - ellipeinc(psi, m))
+    G = np.where(q == 0.0, alpha, np.where(
+        m == 1.0, alpha * alpha / (np.hypot(alpha, q) + q),
+        q * tail + alpha * np.hypot(alpha, vz * q) / np.hypot(alpha, q)))
     return (G[1] - G[0]) / s
 
 
-def _exact_k(params: AssemblyParams, v, edges: np.ndarray) -> float:
-    """Integral of the spread: max minus min candidate, read at each piece's midpoint."""
-    a, b = edges[:-1], edges[1:]
-    u0, k = _source_ends(params, v)
-    k, c2 = k[:, None], (params.d ** 2 + u0 * u0)[:, None]
-    # g_end = dD/dl integrates to D(b) - D(a), written without cancellation.
-    terms = (b - a) * (a + b + 2.0 * k) / (np.sqrt(a * a + 2.0 * k * a + c2)
-                                           + np.sqrt(b * b + 2.0 * k * b + c2))
-    # argmax/argmin take the first of equal candidates, so a tie picks an end.
-    candidates = np.stack(_frequencies(0.5 * (a + b), v, params)[0])
-    top, bottom = candidates.argmax(axis=0), candidates.argmin(axis=0)
-    if 2 in top or 2 in bottom:
-        terms = np.vstack([terms, _stationary_integral(params, v, a, b)])
-    pieces = np.arange(a.size)
-    return float(np.sum(terms[top, pieces] - terms[bottom, pieces]))
+def _kernel(d, c, L, v, lo, hi):
+    """``(K, piece edges)`` of a batch of links; see ``k_exact``.
+
+    Each link's ``[lo, hi]`` is cut into pieces on which the maximum and
+    minimum of ``g_lo``, ``g_hi`` and ``g*`` keep their candidates.  They
+    switch only where ``u*`` crosses a source end, where ``g_lo = g_hi``, or
+    where an end lies on the array (``l = -k``); roots that squaring adds
+    only split a piece.  Points outside ``(lo, hi)`` become ``hi``, so every
+    link has 8 edges and some zero-length pieces, which add 0.
+    """
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    # Leading axis: the two source ends, at axial offsets u0.  With
+    # k = d*v_x + v_z*u0 and c2 = d**2 + u0**2 the distance from l*v to an end
+    # is D(l) = sqrt(l**2 + 2*k*l + c2).
+    u0 = np.array([c - 0.5 * L, c + 0.5 * L])
+    k = d * vx + vz * u0
+    c2 = d * d + u0 * u0
+    (k0, k1), (c0, c1) = k, c2
+    with np.errstate(all="ignore"):
+        # u* crosses the end u0: l*(v_z*d*v_x - s*u0) + d*(v_z*d - v_x*u0) = 0.
+        crossings = -d * (vz * d - vx * u0) / (vz * d * vx - (vx * vx + vy * vy) * u0)
+        # g_lo**2 = g_hi**2: (l + k0)**2 D1**2 = (l + k1)**2 D0**2, whose quartic
+        # and cubic terms cancel; all three coefficients vanish at broadside.
+        qa = c1 - c0 + k0 * k0 - k1 * k1
+        qb = 2.0 * (k0 * c1 - k1 * c0 + k0 * k1 * (k0 - k1))
+        qc = k0 * k0 * c1 - k1 * k1 * c0
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        points = np.moveaxis(np.concatenate([crossings, np.array([q / qa, qc / q]), -k]), 0, -1)
+    lo, hi = lo[..., None], hi[..., None]
+    points = np.where((points > lo) & (points < hi), points, hi)
+    edges = np.concatenate([lo, np.sort(points, axis=-1), hi], axis=-1)
+
+    a, b = edges[..., :-1], edges[..., 1:]
+    width, mid2 = b - a, a + b
+    live = width > 0.0
+    k, c2 = k[..., None], c2[..., None]
+    with np.errstate(all="ignore"):
+        # g_end = dD/dl integrates to D(b) - D(a), written without cancellation.
+        dist = np.sqrt(edges * edges + 2.0 * k * edges + c2)
+        ends = width * (mid2 + 2.0 * k) / (dist[..., :-1] + dist[..., 1:])
+        g = _frequencies(0.5 * mid2, (vx[..., None], vy[..., None], vz[..., None]),
+                         d[..., None], c[..., None], L)[0]
+        # argmax/argmin take the first of equal candidates, so a tie picks an end.
+        candidates = np.array(g)
+        top, bottom = candidates.argmax(axis=0), candidates.argmin(axis=0)
+        terms = [ends[0], ends[1], np.zeros_like(a)]
+        pick = np.nonzero(live & ((top == 2) | (bottom == 2)))
+        if pick[0].size:
+            link = pick[:-1]
+            terms[2][pick] = _stationary_integral(d[link], v[link], a[pick], b[pick])
+    spread = np.choose(top, terms) - np.choose(bottom, terms)
+    return np.where(live, spread, 0.0).sum(axis=-1), edges
+
+
+def k_exact(d, c, L, v, lo, hi):
+    """Exact K numbers of a batch of links in one array pass.
+
+    Link ``i`` has a source of length ``L`` whose axis lies at distance
+    ``d[i]`` from the receive centre, with axial offset ``c[i] = r cos(theta)``
+    of the receive centre from the source centre, and a receive array along
+    the unit vector ``v[i]`` (the last axis of ``v`` holds the components)
+    over ``[lo[i], hi[i]]``; the other arguments broadcast to the links'
+    shape ``v.shape[:-1]``, and a ``(3,)`` vector gives one link and a
+    scalar K.  A link whose receive array runs through a source point can
+    come out NaN; the kernel never warns.
+    """
+    v = np.asarray(v, dtype=float)
+    d, c, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), v.shape[:-1])[()]
+                    for x in (d, c, lo, hi))
+    return _kernel(d, c, float(L), v, lo, hi)[0]
+
+
+def _one_link(params: AssemblyParams, v, lo: float, hi: float):
+    # numpy scalars, whose arithmetic is cheaper than that of 1-element arrays
+    c = params.r * math.cos(params.theta)
+    return _kernel(np.float64(params.d), np.float64(c), params.L, np.asarray(v, dtype=float),
+                   np.float64(lo), np.float64(hi))
+
+
+def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
+    """Distinct piece edges of one link's ``[lo, hi]`` (see ``_kernel``)."""
+    return np.unique(_one_link(params, v, lo, hi)[1])
 
 
 @dataclass(frozen=True)
@@ -212,14 +248,15 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     use the bandwidth extremes at fixed Gauss-Legendre nodes of each piece.
     """
     lo, hi = effective_interval(params, direction)
-    v = tuple(float(c) for c in direction.unit_vector)
-    edges = _piece_edges(params, v, lo, hi)
-    value = _exact_k(params, v, edges)
+    v = direction.unit_vector
+    value, edges = _one_link(params, v, lo, hi)
+    value = float(value)
     if direction.is_axis:
         lower, upper = k_bounds(params, direction)
         linear = k_linear(params, direction)
     else:
         _warn_near_field(params)
+        edges = np.unique(edges)
         half = 0.5 * np.diff(edges)[:, None]
         w = bandwidth_generic((edges[:-1, None] + half * (1.0 + _NODES)).ravel(), v, params)
         lower, upper = float(w.min()) * (hi - lo), float(w.max()) * (hi - lo)

@@ -33,6 +33,7 @@ __all__ = [
     "LocalFrame",
     "arctan_star",
     "sign_star",
+    "scene_to_local",
     "vertical_scene_to_local",
     "horizontal_scene_to_local",
 ]
@@ -258,6 +259,66 @@ def _check_phi(phi: float) -> float:
     return phi
 
 
+def _azimuth(x, y):
+    # Azimuth gamma of ground points (y >= 0) in [0, pi]; 0 at the origin.
+    r1 = np.hypot(x, y)
+    with np.errstate(all="ignore"):
+        return np.where(r1 == 0.0, 0.0, np.arccos(np.clip(x / r1, -1.0, 1.0)))
+
+
+def scene_to_local(mode: str, source_height: float, x, y, phi):
+    """Receive-frame geometry of ground positions, elementwise over arrays.
+
+    For receive centres ``(x, y)`` on the ground (``y >= 0``) under a source
+    placed in ``mode`` at ``source_height``, and ground orientation angles
+    ``phi`` in ``[0, pi]`` (not checked here), returns ``(r, theta, v_hat,
+    angle)``: the centre distance and polar angle of the local assembly,
+    the receive-array orientation in receiving coordinates (last axis of
+    length 3) and the in-scene reference angle (``gamma`` for the vertical
+    placement, ``psi`` for the horizontal one).  ``x``, ``y`` and ``phi``
+    broadcast.  See ``vertical_scene_to_local`` and
+    ``horizontal_scene_to_local`` for the two placements.
+    """
+    x, y, phi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, y, phi)))
+    if mode == "vertical":
+        r1 = np.hypot(x, y)
+        angle = _azimuth(x, y)
+        # arctan_star(r1 / height), evaluated overflow-safely.
+        theta = np.arctan2(r1, source_height)
+        r = np.hypot(r1, source_height)
+        delta = phi - angle
+        v_hat = np.stack([np.cos(delta), -np.sin(delta), np.zeros_like(delta)], axis=-1)
+    elif mode == "horizontal":
+        r2 = np.hypot(y, source_height)
+        # arctan_star of an infinite ratio: the receive centre sits in the
+        # boresight plane of the source, theta = pi/2 exactly.  Off that plane
+        # atan2 evaluates arctan_star(r2 / x) without overflow (r2 > 0).
+        theta = np.where(x == 0.0, 0.5 * math.pi, np.arctan2(r2, x))
+        angle = np.arccos(np.clip(y / r2, -1.0, 1.0))
+        r = np.hypot(x, r2)
+        sin_phi = np.sin(phi)
+        v_hat = np.stack([sin_phi * np.cos(angle), sin_phi * np.sin(angle), np.cos(phi)],
+                         axis=-1)
+    else:
+        raise ValueError(f"mode must be 'vertical' or 'horizontal', got {mode!r}")
+    return r, theta, v_hat, angle
+
+
+def _scene_frame(scene: ScenePlacement, mode: str, phi: float) -> LocalFrame:
+    if scene.mode != mode:
+        raise ValueError(f"{mode}_scene_to_local requires a {mode}-mode scene")
+    x, y = scene.rx_center
+    r, theta, v_hat, angle = scene_to_local(mode, scene.source_height, x, y, _check_phi(phi))
+    lr = scene.receive_length
+    # Only a vertical placement's v_y can be negative: phi in [0, pi] and y >= 0
+    # keep sin(phi), cos(psi) and sin(psi) non-negative.
+    projections = tuple(float(c) for c in lr * np.abs(v_hat))
+    params = AssemblyParams(scene.source_length, 0.5 * lr, float(r), float(theta),
+                            tuple(float(c) for c in v_hat))
+    degenerate = mode == "vertical" and x == 0.0 and y == 0.0
+    return LocalFrame(params, float(angle), projections, degenerate)
+
+
 def vertical_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
     """Local assembly for a vertically placed source and ground receive array.
 
@@ -271,22 +332,7 @@ def vertical_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
     undefined; ``gamma = 0`` is used by convention and the result is flagged
     degenerate (all orientations are equivalent there by symmetry).
     """
-    if scene.mode != "vertical":
-        raise ValueError("vertical_scene_to_local requires a vertical-mode scene")
-    phi = _check_phi(phi)
-    x, y = scene.rx_center
-    r1 = math.hypot(x, y)
-    degenerate = r1 == 0.0
-    gamma = 0.0 if degenerate else math.acos(min(1.0, max(-1.0, x / r1)))
-    # arctan_star(r1 / height), evaluated overflow-safely.
-    theta = math.atan2(r1, scene.source_height)
-    r = math.hypot(r1, scene.source_height)
-    delta = phi - gamma
-    lr = scene.receive_length
-    projections = (lr * abs(math.cos(delta)), lr * abs(math.sin(delta)), 0.0)
-    v_hat = (math.cos(delta), -math.sin(delta), 0.0)
-    params = AssemblyParams(scene.source_length, 0.5 * lr, r, theta, v_hat)
-    return LocalFrame(params, gamma, projections, degenerate)
+    return _scene_frame(scene, "vertical", phi)
 
 
 def horizontal_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
@@ -298,22 +344,4 @@ def horizontal_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
     ground; the receiving-frame orientation of the receive array is
     ``(sin(phi) cos(psi), sin(phi) sin(psi), cos(phi))``.
     """
-    if scene.mode != "horizontal":
-        raise ValueError("horizontal_scene_to_local requires a horizontal-mode scene")
-    phi = _check_phi(phi)
-    x, y = scene.rx_center
-    z = scene.source_height
-    r2 = math.hypot(y, z)
-    # arctan_star of an infinite ratio: the receive centre sits in the
-    # boresight plane of the source, theta = pi/2 exactly.  Off that plane
-    # atan2 evaluates arctan_star(r2 / x) without overflow (r2 > 0).
-    theta = 0.5 * math.pi if x == 0.0 else math.atan2(r2, x)
-    psi = math.acos(min(1.0, max(-1.0, y / r2)))
-    r = math.hypot(x, r2)
-    lr = scene.receive_length
-    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
-    projections = (lr * sin_phi * cos_psi, lr * sin_phi * sin_psi, lr * abs(cos_phi))
-    v_hat = (sin_phi * cos_psi, sin_phi * sin_psi, cos_phi)
-    params = AssemblyParams(scene.source_length, 0.5 * lr, r, theta, v_hat)
-    return LocalFrame(params, psi, projections)
+    return _scene_frame(scene, "horizontal", phi)

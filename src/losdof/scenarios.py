@@ -16,34 +16,39 @@ policies:
     the array and both frequency extremes come from the same source ends
     (``r |cos(theta)| > L/2``).
 
-Maps use the generic-direction closed form of the K number (not the
-per-axis closed forms), so tilted orientations pick up every direction's
-contribution.
+A map is one array pass: orientation angles, local frames and the exact K
+numbers (``dof.k_exact``, the generic-direction closed form, so tilted
+orientations pick up every direction's contribution) are evaluated over the
+whole grid at once.  Each point carries a status: ``"ok"``, ``"excluded"``
+(closer than ``EXCLUSION_RADIUS`` to the source centre) or ``"failed"`` (the
+policy's angle or the K number is undefined there).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import FarFieldWarning, bandwidth_x, bandwidth_z
-from .dof import k_number
-from .geometry import (
-    ReceiveDirection,
+# bandwidth_x/z, k_number and the scalar transforms are unused here;
+# bench/tracing.py patches them on this module.
+from .bandwidth import _dc, bandwidth_x, bandwidth_z  # noqa: F401
+from .dof import k_exact, k_number  # noqa: F401
+from .geometry import (  # noqa: F401
     ScenePlacement,
-    arctan_star,
+    _azimuth,
     horizontal_scene_to_local,
-    sign_star,
+    scene_to_local,
     vertical_scene_to_local,
 )
 
 __all__ = [
     "GroundGrid",
     "KMap",
+    "STATUSES",
+    "gamma",
+    "hcontrol",
     "phi_policy_gamma",
     "phi_policy_h",
     "k_map",
@@ -52,6 +57,9 @@ __all__ = [
 
 #: receive positions closer than this to the source centre are masked out.
 EXCLUSION_RADIUS = 1.0
+
+#: per-point status values of a ``KMap``.
+STATUSES = ("ok", "excluded", "failed")
 
 
 @dataclass(frozen=True)
@@ -85,69 +93,77 @@ class GroundGrid:
 
 @dataclass(frozen=True)
 class KMap:
-    """K numbers over a ground grid; NaN marks masked or failed points.
+    """K numbers over a ground grid; NaN marks excluded or failed points.
 
     ``policy`` is the label of the orientation policy the map was computed
-    under (``"gamma"``, ``"hcontrol"`` or ``"fixed(<phi>)"``).
+    under (``"gamma"``, ``"hcontrol"`` or ``"fixed(<phi>)"``).  ``status``
+    gives each point's ``STATUSES`` entry.
     """
 
     grid: GroundGrid
     values: np.ndarray
     policy: str
+    status: np.ndarray
 
     def __post_init__(self):
         expected = (self.grid.x_range[2], self.grid.y_range[2])
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} does not match grid {expected}")
+        if self.values.shape != expected or self.status.shape != expected:
+            raise ValueError(f"values shape {self.values.shape} and status shape "
+                             f"{self.status.shape} must match grid {expected}")
         finite = self.values[np.isfinite(self.values)]
         if finite.size and finite.min() < 0:
             raise ValueError("K numbers cannot be negative")
 
+    @property
+    def status_counts(self) -> dict[str, int]:
+        """Number of points per status, every status listed."""
+        return {name: int(np.count_nonzero(self.status == name)) for name in STATUSES}
 
-def phi_policy_gamma(point) -> float:
-    """Radial orientation: the azimuth ``gamma`` of the ground point.
+
+def gamma(x, y):
+    """Radial orientation, elementwise: the azimuth ``gamma`` of ground points.
 
     At the origin the azimuth is undefined and 0 is returned; every
     orientation is equivalent there by symmetry.
     """
-    x, y = (float(c) for c in point)
-    r1 = math.hypot(x, y)
-    if r1 == 0.0:
-        return 0.0
-    return math.acos(min(1.0, max(-1.0, x / r1)))
+    return _azimuth(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def phi_policy_h(point, scene: ScenePlacement) -> float:
-    """Closed-form orientation for the horizontal placement.
+def hcontrol(x, y, scene: ScenePlacement):
+    """Closed-form orientation for the horizontal placement, elementwise.
 
     Balances the centre-point bandwidths of the e_z and e_x directions:
     ``arctan_star(sign_star(-x'') * cos(psi) * w_x(0) / w_z(0))``.  The
     result exceeds pi/2 for ``x'' > 0``, stays below it for ``x'' < 0`` and
-    is 0 on the boresight plane ``x'' = 0``.
+    is 0 on the boresight plane ``x'' = 0``.  NaN where the ratio is
+    undefined (a vanishing ``w_z(0)``).
     """
     if scene.mode != "horizontal":
-        raise ValueError("phi_policy_h applies to horizontal-mode scenes")
-    x, y = (float(c) for c in point)
-    frame = horizontal_scene_to_local(
-        ScenePlacement("horizontal", scene.source_length, scene.source_height,
-                       (x, y), scene.receive_length),
-        0.0,
-    )
-    params = frame.params
-    w_z0 = float(bandwidth_z(0.0, params))
-    if w_z0 <= 0.0:
+        raise ValueError("the hcontrol orientation applies to horizontal-mode scenes")
+    x = np.asarray(x, dtype=float)
+    r, theta, _, psi = scene_to_local("horizontal", scene.source_height, x, y, 0.0)
+    half = 0.5 * scene.source_length
+    d, axial = r * np.sin(theta), r * np.cos(theta)
+    far, near = np.abs(axial) + half, np.abs(axial) - half
+    with np.errstate(all="ignore"):
+        w_z0 = _dc(axial + half, d) - _dc(axial - half, d)
+        w_x0 = np.where(near <= 0.0, 1.0 - _dc(d, far), _dc(d, near) - _dc(d, far))
+        t = np.sign(-x) * np.cos(psi) * w_x0 / w_z0
+        phi = np.where(t < 0.0, math.pi, 0.0) + np.arctan(t)
+    return np.where((w_z0 > 0.0) & np.isfinite(t), phi, math.nan)
+
+
+def phi_policy_gamma(point) -> float:
+    """``gamma`` at one ground point."""
+    return float(gamma(*point))
+
+
+def phi_policy_h(point, scene: ScenePlacement) -> float:
+    """``hcontrol`` at one ground point; raises where it is undefined."""
+    phi = float(hcontrol(*point, scene))
+    if math.isnan(phi):
         raise ValueError("centre bandwidth along e_z vanished; orientation ratio undefined")
-    w_x0 = float(bandwidth_x(0.0, params))
-    ratio = math.cos(frame.angle) * w_x0 / w_z0
-    return arctan_star(sign_star(-x) * ratio)
-
-
-def _resolve_phi(policy, point, scene: ScenePlacement) -> float:
-    if policy == "gamma":
-        return phi_policy_gamma(point)
-    if policy == "hcontrol":
-        return phi_policy_h(point, scene)
-    return float(policy)
+    return phi
 
 
 def _policy_label(policy) -> str:
@@ -155,33 +171,36 @@ def _policy_label(policy) -> str:
         if policy not in ("gamma", "hcontrol"):
             raise ValueError(f"unknown policy {policy!r}")
         return policy
-    return f"fixed({float(policy):g})"
+    phi = float(policy)
+    if not 0.0 <= phi <= math.pi:
+        raise ValueError(f"fixed orientation angle phi must lie in [0, pi], got {phi!r}")
+    return f"fixed({phi:g})"
+
+
+def _evaluate(scene: ScenePlacement, policy, x, y):
+    """``(K, status)`` at ground points ``x``, ``y``: policy, frames, kernel, mask."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if policy == "hcontrol" and scene.mode != "horizontal":
+        return np.full(x.shape, math.nan), np.full(x.shape, "failed")
+    if policy == "gamma":
+        phi = gamma(x, y)
+    elif policy == "hcontrol":
+        phi = hcontrol(x, y, scene)
+    else:
+        phi = float(policy)
+    r, theta, v_hat, _ = scene_to_local(scene.mode, scene.source_height, x, y, phi)
+    rho = 0.5 * scene.receive_length
+    k = k_exact(r * np.sin(theta), r * np.cos(theta), scene.source_length, v_hat, -rho, rho)
+    excluded = r < EXCLUSION_RADIUS
+    ok = ~excluded & np.isfinite(k)
+    status = np.where(excluded, "excluded", np.where(ok, "ok", "failed"))
+    return np.where(ok, k, math.nan), status
 
 
 def k_map_point(scene: ScenePlacement, policy, x: float, y: float) -> float:
-    """K number at one ground position; NaN if masked or degenerate."""
-    try:
-        phi = _resolve_phi(policy, (x, y), scene)
-        if scene.mode == "vertical":
-            frame = vertical_scene_to_local(
-                ScenePlacement("vertical", scene.source_length, scene.source_height,
-                               (x, y), scene.receive_length),
-                phi,
-            )
-        else:
-            frame = horizontal_scene_to_local(
-                ScenePlacement("horizontal", scene.source_length, scene.source_height,
-                               (x, y), scene.receive_length),
-                phi,
-            )
-        if frame.params.r < EXCLUSION_RADIUS:
-            return math.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FarFieldWarning)
-            direction = ReceiveDirection.generic(frame.params.v_hat)
-            return k_number(frame.params, direction).k_exact
-    except ValueError:
-        return math.nan
+    """K number at one ground position; NaN if excluded or failed."""
+    _policy_label(policy)
+    return float(_evaluate(scene, policy, x, y)[0])
 
 
 def k_map(
@@ -192,26 +211,18 @@ def k_map(
 ) -> KMap:
     """K-number map over a ground grid under an orientation policy.
 
-    ``policy`` is a fixed orientation angle (float, radians), ``"gamma"``,
-    or ``"hcontrol"`` (horizontal scenes only).  Each point's K number is
-    exact (closed form).  Values are assembled in grid order regardless of
-    ``workers``; each point is an independent pure computation.
+    ``policy`` is a fixed orientation angle (float, radians, in ``[0, pi]``),
+    ``"gamma"``, or ``"hcontrol"`` (horizontal scenes only; every point of
+    another scene fails).  Each point's K number is exact (closed form) and
+    the whole grid is one array pass, so ``workers`` (at least 1) changes
+    nothing; it stays for callers that pass it.
     """
     label = _policy_label(policy)
-    xs, ys = grid.xs, grid.ys
-    points = [(float(x), float(y)) for x in xs for y in ys]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_point_star, [(scene, policy, x, y) for x, y in points],
-                                 chunksize=max(1, len(points) // (8 * workers))))
-    else:
-        flat = [k_map_point(scene, policy, x, y) for x, y in points]
-    values = np.array(flat, dtype=float).reshape(len(xs), len(ys))
-    return KMap(grid, values, label)
-
-
-def _point_star(args) -> float:
-    return k_map_point(*args)
+    if int(workers) < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    values, status = _evaluate(scene, policy, xs, ys)
+    return KMap(grid, values, label, status)
 
 
 def kmap_rows(kmap: KMap):

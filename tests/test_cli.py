@@ -262,6 +262,26 @@ class TestScenarioMapCommand:
         run(base + ["--threads", 2, "--output", out2])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_envelope_counts_statuses(self, tmp_path):
+        out = tmp_path / "map.csv"
+        assert run(["scenario-map", "--mode", "horizontal", "--source-length", 400,
+                    "--source-height", 200, "--receive-length", 40, "--policy", "hcontrol",
+                    "--x-steps", 3, "--y-steps", 2, "--output", out]) == 0
+        envelope = json.loads((tmp_path / "map.json").read_text())
+        assert envelope["status_counts"] == {"ok": 6, "excluded": 0, "failed": 0}
+
+    @pytest.mark.parametrize("extra", [
+        ["--mode", "vertical", "--source-height", 400, "--policy", "fixed", "--phi", 4],
+        ["--mode", "vertical", "--source-height", 400, "--policy", "hcontrol"],
+        ["--mode", "horizontal", "--source-height", 200, "--threads", 0],
+    ], ids=["phi-out-of-range", "hcontrol-vertical", "threads-zero"])
+    def test_bad_map_input_exits_2(self, tmp_path, capsys, extra):
+        out = tmp_path / "map.csv"
+        assert run(["scenario-map", "--source-length", 400, "--receive-length", 40,
+                    "--x-steps", 3, "--y-steps", 2, *extra, "--output", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):

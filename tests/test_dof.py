@@ -20,7 +20,7 @@ from losdof import (
     rz_boresight,
 )
 from losdof.bandwidth import bandwidth_generic
-from losdof.dof import _piece_edges, adaptive_gauss
+from losdof.dof import _piece_edges, adaptive_gauss, k_exact
 
 from helpers import random_params, trapezoid_k
 
@@ -145,6 +145,43 @@ class TestKNumber:
         assert rep.k_lower - 1e-9 <= rep.k_exact <= rep.k_upper + 1e-9
         reverse = k_number(p, ReceiveDirection.generic(tuple(-c for c in v)))
         assert reverse.k_exact == pytest.approx(rep.k_exact, abs=1e-9)
+
+    @pytest.mark.parametrize("v", [(0.6, 0.8, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
+    def test_broadside_all_zero_quadratic(self, v):
+        # theta = pi/2 with v_z = 0: g_lo**2 = g_hi**2 holds along the whole
+        # array, every coefficient of the edge quadratic is zero and it adds no edge
+        L, rho, r = 400.0, 20.0, 300.0
+        p = AssemblyParams(L, rho, r, math.pi / 2)
+        k = k_exact(r, 0.0, L, v, -rho, rho)
+        reference, _ = adaptive_gauss(lambda l: bandwidth_generic(l, v, p), -rho, rho, tol=1e-12)
+        assert k == pytest.approx(reference, abs=1e-9)
+        rep = k_number(p.with_v_hat(v), ReceiveDirection.generic(v))
+        assert rep.k_exact == pytest.approx(k, abs=1e-12)
+
+    def test_near_zero_leading_coefficient(self):
+        # v_x = 0 at theta = pi/2: the l**2 coefficient of the edge equation
+        # vanishes but for the rounding of r*cos(pi/2), and its one true root,
+        # g_lo = -g_hi at the centre, must stay the only interior edge
+        p = AssemblyParams(50.0, 20.0, 60.0, math.pi / 2)
+        v = (0.0, 0.6, 0.8)
+        edges = _piece_edges(p, v, -20.0, 20.0)
+        assert edges.size == 3 and abs(edges[1]) < 1e-9
+        reference, _ = adaptive_gauss(lambda l: bandwidth_generic(l, v, p), -20.0, 20.0,
+                                      tol=1e-12)
+        rep = k_number(p.with_v_hat(v), ReceiveDirection.generic(v))
+        assert rep.k_exact == pytest.approx(reference, abs=1e-9)
+
+    def test_batch_matches_single_links(self):
+        rng = np.random.default_rng(8)
+        links = [random_params(rng) for _ in range(40)]
+        vs = rng.normal(size=(40, 3))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        batch = k_exact([p.d for p in links], [p.r * math.cos(p.theta) for p in links],
+                        400.0, vs, [-p.rho for p in links], [p.rho for p in links])
+        single = [k_exact(p.d, p.r * math.cos(p.theta), 400.0, v, -p.rho, p.rho)
+                  for p, v in zip(links, vs)]
+        assert batch.shape == (40,)
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
 class TestBoundsAndLinear:

@@ -1,7 +1,11 @@
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losdof import (
     GroundGrid,
@@ -14,7 +18,7 @@ from losdof import (
     vertical_scene_to_local,
     horizontal_scene_to_local,
 )
-from losdof.scenarios import kmap_rows
+from losdof.scenarios import EXCLUSION_RADIUS, k_map_point, kmap_rows
 
 from helpers import world_k_number
 
@@ -160,6 +164,91 @@ class TestKMap:
         grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
         with pytest.raises(ValueError):
             k_map(VERTICAL, "spiral", grid)
+
+
+class TestKMapArrayPass:
+    def test_status_counts(self):
+        grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 2))
+        result = k_map(VERTICAL, "gamma", grid)
+        assert result.status_counts == {"ok": 6, "excluded": 0, "failed": 0}
+        failed = k_map(VERTICAL, "hcontrol", grid)
+        assert failed.status_counts == {"ok": 0, "excluded": 0, "failed": 6}
+
+    def test_excluded_points(self):
+        # a short source low over the ground: the point below it is within
+        # EXCLUSION_RADIUS of the source centre
+        scene = ScenePlacement("vertical", 1.0, 0.6, (0.0, 0.0), 2.0)
+        result = k_map(scene, "gamma", GroundGrid((-1.0, 1.0, 3), (0.0, 1.0, 2)))
+        assert result.status[1, 0] == "excluded"
+        assert np.isnan(result.values[1, 0])
+        assert result.status_counts == {"ok": 5, "excluded": 1, "failed": 0}
+
+    @pytest.mark.parametrize("phi", [-0.1, 4.0, math.nan])
+    def test_fixed_phi_outside_range_rejected(self, phi):
+        grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
+        with pytest.raises(ValueError):
+            k_map(VERTICAL, phi, grid)
+
+    def test_workers_below_one_rejected(self):
+        grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
+        with pytest.raises(ValueError):
+            k_map(VERTICAL, "gamma", grid, workers=0)
+
+    def test_point_is_one_point_map(self):
+        grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 2))
+        result = k_map(HORIZONTAL, "hcontrol", grid)
+        assert k_map_point(HORIZONTAL, "hcontrol", 300.0, 300.0) == result.values[2, 1]
+
+    @given(mode=st.sampled_from(["vertical", "horizontal"]),
+           policy=st.one_of(st.sampled_from(["gamma", "hcontrol"]), st.floats(0.0, math.pi)),
+           L=st.floats(0.5, 500.0), height=st.floats(0.3, 600.0),
+           receive=st.floats(0.5, 60.0), x=st.floats(0.5, 2000.0), y=st.floats(0.5, 2000.0))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_point_reference(self, mode, policy, L, height, receive, x, y):
+        if mode == "vertical":
+            # hcontrol needs a horizontal scene; a vertical source must clear the ground
+            policy = "gamma" if policy == "hcontrol" else policy
+            height = max(height, 0.6 * L)
+        scene = ScenePlacement(mode, L, height, (0.0, 0.0), receive)
+        grid = GroundGrid((-x, x, 4), (0.0, y, 3))
+        result = k_map(scene, policy, grid)
+        for i, gx in enumerate(grid.xs):
+            for j, gy in enumerate(grid.ys):
+                point = (float(gx), float(gy))
+                if policy == "gamma":
+                    phi = phi_policy_gamma(point)
+                elif policy == "hcontrol":
+                    phi = phi_policy_h(point, scene)
+                else:
+                    phi = policy
+                transform = (vertical_scene_to_local if mode == "vertical"
+                             else horizontal_scene_to_local)
+                r = transform(ScenePlacement(mode, L, height, point, receive), phi).params.r
+                if r < EXCLUSION_RADIUS:
+                    assert np.isnan(result.values[i, j]) and result.status[i, j] == "excluded"
+                else:
+                    expected = k_at(scene, *point, phi)
+                    assert result.values[i, j] == pytest.approx(expected, abs=1e-9)
+                    assert result.status[i, j] == "ok"
+
+
+class TestConcurrency:
+    def test_threads_match_serial_and_leave_warning_filters_alone(self):
+        grid = GroundGrid((-600.0, 600.0, 9), (0.0, 600.0, 5))
+        jobs = [(VERTICAL, "gamma"), (HORIZONTAL, "hcontrol")] * 2
+
+        def run(job):
+            return k_map(job[0], job[1], grid).values
+
+        serial = [run(job) for job in jobs]
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, jobs))
+            assert warnings.filters == filters
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestGroundGrid:
