@@ -31,6 +31,7 @@ __all__ = [
     "bandwidth_x",
     "bandwidth_y",
     "bandwidth_generic",
+    "axis_bandwidth",
     "extrema_z",
     "extrema_x",
     "extrema_y",
@@ -99,7 +100,7 @@ def bandwidth_z(z, params: AssemblyParams):
     positive whenever the receive point is off the source axis.  Accepts a
     scalar or array ``z``.
     """
-    return direction_cosine(z + params.a, params.d) - direction_cosine(z + params.b, params.d)
+    return _checked(axis_bandwidth("z", z, params.d, params.r * math.cos(params.theta), params.L))
 
 
 def bandwidth_x(x, params: AssemblyParams):
@@ -108,11 +109,34 @@ def bandwidth_x(x, params: AssemblyParams):
     Valid for ``x + d >= 0``, which holds on the effective interval
     ``[-min(d, rho), rho]``.  Accepts a scalar or array ``x``.
     """
-    u = np.asarray(x, dtype=float) + params.d
-    if params.projection_inside:
-        out = 1.0 - direction_cosine(u, params.A)
-    else:
-        out = direction_cosine(u, params.B) - direction_cosine(u, params.A)
+    return _checked(axis_bandwidth("x", x, params.d, params.r * math.cos(params.theta), params.L))
+
+
+def axis_bandwidth(tag: str, l, d, c, L):
+    """Closed-form bandwidth at ``l`` on the e_z (``tag="z"``) or e_x array, elementwise.
+
+    ``d`` is the distance from the receive centre to the source axis and
+    ``c = r*cos(theta)`` its axial offset from the source centre; ``l``,
+    ``d``, ``c`` and ``L`` broadcast, so one call covers many links.  The
+    forms of ``bandwidth_z`` and ``bandwidth_x`` (e_z: the difference of the
+    direction cosines toward the two source ends; e_x: ``1 - cos`` of the
+    far end when the receive centre projects onto the source, else the
+    difference toward the near and far ends).  Unchecked: a receive point
+    on a source end gives NaN, and the function never warns.
+    """
+    l = np.asarray(l, dtype=float)
+    with np.errstate(all="ignore"):
+        if tag == "z":
+            return _dc(l + (c + 0.5 * L), d) - _dc(l + (c - 0.5 * L), d)
+        axial = np.abs(c)
+        u = l + d
+        far = _dc(u, axial + 0.5 * L)
+        return np.where(axial <= 0.5 * L, 1.0 - far, _dc(u, axial - 0.5 * L) - far)
+
+
+def _checked(out):
+    if np.isnan(out).any():
+        raise ValueError("direction cosine indeterminate: a receive point lies on a source end")
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -399,7 +399,7 @@ COMMANDS = {
         Option("y_max", float, 1000.0, "grid y maximum (default 1000 wavelengths)", kind="length"),
         Option("y_steps", int, 21, "grid y points (default 21)"),
         Option("threads", int, 1, "accepted for compatibility, at least 1; the map is "
-                                   "one array pass (default 1)"),
+                                   "computed in this process (default 1)"),
         SIDECAR_OUTPUT,
     )),
     "verify": (cmd_verify, "randomized oracle self-check", (

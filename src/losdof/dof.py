@@ -143,6 +143,12 @@ def _kernel(d, c, L, v, lo, hi):
     only split a piece.  Points outside ``(lo, hi)`` become ``hi``, so every
     link has 8 edges and some zero-length pieces, which add 0.
     """
+    v = np.asarray(v, dtype=float)
+    shape = v.shape[:-1]
+    # One link's arguments become numpy scalars, whose arithmetic is cheaper than 0-d arrays'.
+    d, c, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), shape) if shape else np.float64(x)
+                    for x in (d, c, lo, hi))
+    L = float(L)
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     # Leading axis: the two source ends, at axial offsets u0.  With
     # k = d*v_x + v_z*u0 and c2 = d**2 + u0**2 the distance from l*v to an end
@@ -199,22 +205,12 @@ def k_exact(d, c, L, v, lo, hi):
     scalar K.  A link whose receive array runs through a source point can
     come out NaN; the kernel never warns.
     """
-    v = np.asarray(v, dtype=float)
-    d, c, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), v.shape[:-1])[()]
-                    for x in (d, c, lo, hi))
-    return _kernel(d, c, float(L), v, lo, hi)[0]
-
-
-def _one_link(params: AssemblyParams, v, lo: float, hi: float):
-    # numpy scalars, whose arithmetic is cheaper than that of 1-element arrays
-    c = params.r * math.cos(params.theta)
-    return _kernel(np.float64(params.d), np.float64(c), params.L, np.asarray(v, dtype=float),
-                   np.float64(lo), np.float64(hi))
+    return _kernel(d, c, L, v, lo, hi)[0]
 
 
 def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
     """Distinct piece edges of one link's ``[lo, hi]`` (see ``_kernel``)."""
-    return np.unique(_one_link(params, v, lo, hi)[1])
+    return np.unique(_kernel(params.d, params.r * math.cos(params.theta), params.L, v, lo, hi)[1])
 
 
 @dataclass(frozen=True)
@@ -249,7 +245,7 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     """
     lo, hi = effective_interval(params, direction)
     v = direction.unit_vector
-    value, edges = _one_link(params, v, lo, hi)
+    value, edges = _kernel(params.d, params.r * math.cos(params.theta), params.L, v, lo, hi)
     value = float(value)
     if direction.is_axis:
         lower, upper = k_bounds(params, direction)

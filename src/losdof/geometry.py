@@ -33,6 +33,7 @@ __all__ = [
     "LocalFrame",
     "arctan_star",
     "sign_star",
+    "gamma",
     "scene_to_local",
     "vertical_scene_to_local",
     "horizontal_scene_to_local",
@@ -259,8 +260,13 @@ def _check_phi(phi: float) -> float:
     return phi
 
 
-def _azimuth(x, y):
-    # Azimuth gamma of ground points (y >= 0) in [0, pi]; 0 at the origin.
+def gamma(x, y):
+    """Azimuth ``gamma`` in ``[0, pi]`` of ground points ``(x, y)``, ``y >= 0``, elementwise.
+
+    At the origin the azimuth is undefined and 0 is returned; every
+    orientation is equivalent there by symmetry.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     r1 = np.hypot(x, y)
     with np.errstate(all="ignore"):
         return np.where(r1 == 0.0, 0.0, np.arccos(np.clip(x / r1, -1.0, 1.0)))
@@ -282,7 +288,7 @@ def scene_to_local(mode: str, source_height: float, x, y, phi):
     x, y, phi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, y, phi)))
     if mode == "vertical":
         r1 = np.hypot(x, y)
-        angle = _azimuth(x, y)
+        angle = gamma(x, y)
         # arctan_star(r1 / height), evaluated overflow-safely.
         theta = np.arctan2(r1, source_height)
         r = np.hypot(r1, source_height)

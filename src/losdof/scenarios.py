@@ -16,12 +16,12 @@ policies:
     the array and both frequency extremes come from the same source ends
     (``r |cos(theta)| > L/2``).
 
-A map is one array pass: orientation angles, local frames and the exact K
-numbers (``dof.k_exact``, the generic-direction closed form, so tilted
-orientations pick up every direction's contribution) are evaluated over the
-whole grid at once.  Each point carries a status: ``"ok"``, ``"excluded"``
-(closer than ``EXCLUSION_RADIUS`` to the source centre) or ``"failed"`` (the
-policy's angle or the K number is undefined there).
+The policies, the local frames (``geometry.scene_to_local``) and the exact
+K numbers (``dof.k_exact``, the generic-direction closed form, so tilted
+orientations pick up every direction's contribution) are array functions of
+the ground position.  Each map point carries a status: ``"ok"``,
+``"excluded"`` (closer than ``EXCLUSION_RADIUS`` to the source centre) or
+``"failed"`` (the policy's angle or the K number is undefined there).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ import numpy as np
 
 # bandwidth_x/z, k_number and the scalar transforms are unused here;
 # bench/tracing.py patches them on this module.
-from .bandwidth import _dc, bandwidth_x, bandwidth_z  # noqa: F401
+from .bandwidth import axis_bandwidth, bandwidth_x, bandwidth_z  # noqa: F401
 from .dof import k_exact, k_number  # noqa: F401
 from .geometry import (  # noqa: F401
     ScenePlacement,
-    _azimuth,
+    gamma,
     horizontal_scene_to_local,
     scene_to_local,
     vertical_scene_to_local,
@@ -120,15 +120,6 @@ class KMap:
         return {name: int(np.count_nonzero(self.status == name)) for name in STATUSES}
 
 
-def gamma(x, y):
-    """Radial orientation, elementwise: the azimuth ``gamma`` of ground points.
-
-    At the origin the azimuth is undefined and 0 is returned; every
-    orientation is equivalent there by symmetry.
-    """
-    return _azimuth(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
 def hcontrol(x, y, scene: ScenePlacement):
     """Closed-form orientation for the horizontal placement, elementwise.
 
@@ -142,12 +133,10 @@ def hcontrol(x, y, scene: ScenePlacement):
         raise ValueError("the hcontrol orientation applies to horizontal-mode scenes")
     x = np.asarray(x, dtype=float)
     r, theta, _, psi = scene_to_local("horizontal", scene.source_height, x, y, 0.0)
-    half = 0.5 * scene.source_length
-    d, axial = r * np.sin(theta), r * np.cos(theta)
-    far, near = np.abs(axial) + half, np.abs(axial) - half
+    d, c = r * np.sin(theta), r * np.cos(theta)
+    w_z0 = axis_bandwidth("z", 0.0, d, c, scene.source_length)
+    w_x0 = axis_bandwidth("x", 0.0, d, c, scene.source_length)
     with np.errstate(all="ignore"):
-        w_z0 = _dc(axial + half, d) - _dc(axial - half, d)
-        w_x0 = np.where(near <= 0.0, 1.0 - _dc(d, far), _dc(d, near) - _dc(d, far))
         t = np.sign(-x) * np.cos(psi) * w_x0 / w_z0
         phi = np.where(t < 0.0, math.pi, 0.0) + np.arctan(t)
     return np.where((w_z0 > 0.0) & np.isfinite(t), phi, math.nan)
@@ -213,15 +202,18 @@ def k_map(
 
     ``policy`` is a fixed orientation angle (float, radians, in ``[0, pi]``),
     ``"gamma"``, or ``"hcontrol"`` (horizontal scenes only; every point of
-    another scene fails).  Each point's K number is exact (closed form) and
-    the whole grid is one array pass, so ``workers`` (at least 1) changes
-    nothing; it stays for callers that pass it.
+    another scene fails).  Each point's K number is exact (closed form).
+    The map is computed in this process, so ``workers`` (at least 1)
+    changes nothing; it stays for callers that pass it.
     """
     label = _policy_label(policy)
     if int(workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
+    # One point at a time for now; ROADMAP.md ("Maps") has the one-call version.
     xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    values, status = _evaluate(scene, policy, xs, ys)
+    points = [_evaluate(scene, policy, x, y) for x, y in zip(xs.flat, ys.flat)]
+    values = np.reshape([k for k, _ in points], xs.shape)
+    status = np.reshape([s for _, s in points], xs.shape)
     return KMap(grid, values, label, status)
 
 

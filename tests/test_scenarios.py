@@ -166,7 +166,7 @@ class TestKMap:
             k_map(VERTICAL, "spiral", grid)
 
 
-class TestKMapArrayPass:
+class TestKMapKernel:
     def test_status_counts(self):
         grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 2))
         result = k_map(VERTICAL, "gamma", grid)
@@ -230,6 +230,55 @@ class TestKMapArrayPass:
                     expected = k_at(scene, *point, phi)
                     assert result.values[i, j] == pytest.approx(expected, abs=1e-9)
                     assert result.status[i, j] == "ok"
+
+
+# Maps and hcontrol angles of the per-point code that came before the batched
+# kernel (k_number with np.roots piece edges on each point's AssemblyParams).
+PINNED_GRID = GroundGrid((-1000.0, 1000.0, 5), (0.0, 1000.0, 3))
+PINNED_MAPS = {
+    "gamma": [
+        [4.924555189800415, 4.130382506864414, 2.7833169344489335],
+        [11.533109928138309, 7.992216744605095, 4.130382506864414],
+        [1.3285432605448604, 11.533109928138309, 4.924555189800415],
+        [11.533109928138309, 7.992216744605095, 4.130382506864414],
+        [4.924555189800415, 4.130382506864414, 2.7833169344489335],
+    ],
+    "hcontrol": [
+        [0.6505845394009668, 6.447610365923548, 7.9591453477068255],
+        [5.19362722344308, 15.671710014714334, 12.518903947914492],
+        [56.49778800979181, 27.837600453647767, 15.393262359257276],
+        [5.19362722344308, 15.671710014714336, 12.51890394791449],
+        [0.6505845394009668, 6.4476103659235475, 7.959145347706825],
+    ],
+}
+PINNED_SMALL_SCENE = [
+    [0.7199559973474131, 0.512569920489925],
+    [math.nan, 0.7199559973474131],
+    [0.7199559973474131, 0.512569920489925],
+]
+PINNED_HCONTROL = {
+    (-700.0, 300.0): 0.9866572917007838,
+    (250.0, 0.0): 3.141592653589793,
+    (900.0, 800.0): 2.3410545525068436,
+    (-40.0, 1000.0): 0.06778907021693273,
+}
+
+
+class TestPinnedToPerPointCode:
+    @pytest.mark.parametrize("scene, policy", [(VERTICAL, "gamma"), (HORIZONTAL, "hcontrol")])
+    def test_default_scene_maps(self, scene, policy):
+        values = k_map(scene, policy, PINNED_GRID).values
+        np.testing.assert_allclose(values, PINNED_MAPS[policy], rtol=0, atol=1e-12)
+
+    def test_nan_mask(self):
+        scene = ScenePlacement("vertical", 1.0, 0.6, (0.0, 0.0), 2.0)
+        values = k_map(scene, "gamma", GroundGrid((-1.0, 1.0, 3), (0.0, 1.0, 2))).values
+        np.testing.assert_allclose(values, PINNED_SMALL_SCENE, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("point", list(PINNED_HCONTROL))
+    def test_hcontrol_angles(self, point):
+        assert phi_policy_h(point, HORIZONTAL) == pytest.approx(PINNED_HCONTROL[point],
+                                                                 rel=0, abs=1e-12)
 
 
 class TestConcurrency:
