@@ -96,11 +96,22 @@ def channel_matrix(rx_positions, tx_positions) -> np.ndarray:
     """
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
-    diff = rx[:, None, :] - tx[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    # squared distance one coordinate at a time, in the order of a sum over
+    # the last axis, so no n_r x n_t x 3 temporary is built and the entries
+    # equal those of the broadcast formula bit for bit
+    dist = np.subtract.outer(rx[:, 0], tx[:, 0])
+    dist *= dist
+    for k in range(1, rx.shape[1]):
+        delta = np.subtract.outer(rx[:, k], tx[:, k])
+        delta *= delta
+        dist += delta
+    np.sqrt(dist, out=dist)
     if float(dist.min()) <= 0.0:
         raise ValueError("coincident source/receive antennas (zero distance)")
-    return np.exp(2j * np.pi * dist) / dist
+    H = 2j * np.pi * dist
+    np.exp(H, out=H)
+    H /= dist
+    return H
 
 
 def build_channel(spec: ChannelSpec) -> np.ndarray:
@@ -134,7 +145,8 @@ def singular_spectrum(H) -> SingularSpectrum:
     H = np.asarray(H)
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
         raise ValueError("channel matrix must have finite entries")
-    sigmas = np.linalg.svd(H, compute_uv=False)
+    # LAPACK is faster on the tall orientation; H and H.T share singular values
+    sigmas = np.linalg.svd(H.T if H.shape[0] < H.shape[1] else H, compute_uv=False)
     return SingularSpectrum(tuple(float(s) for s in sigmas), H.shape[0], H.shape[1])
 
 

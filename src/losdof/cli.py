@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._oracle import random_params, scan_extrema, scan_spread
+from ._oracle import axis_draw_errors, random_params, scan_spread, worst_error
 from .bandwidth import (
     FarFieldWarning,
     bandwidth_generic,
@@ -266,51 +266,28 @@ def cmd_verify(o) -> int:
     worst_extrema = 0.0
     worst_sandwich = 0.0
     worst_symmetry = 0.0
-    worst_generic = 0.0
+    generic_errors = [0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FarFieldWarning)
         for _ in range(o.draws):
             params = random_params(rng)
-            mirrored = AssemblyParams(params.L, params.rho, params.r, math.pi - params.theta)
-            for tag in ("x", "y", "z"):
-                direction = getattr(ReceiveDirection, tag)()
-                summary = extrema(params, direction)
-                lo, hi = summary.effective_interval
-                fn = pointwise[tag]
-                s_lo, s_hi = scan_extrema(lambda v: fn(v, params), lo, hi, samples=4001)
-                worst_extrema = max(
-                    worst_extrema, abs(s_hi - summary.w_max), abs(s_lo - summary.w_min)
-                )
-                report = k_number(params, direction)
-                worst_sandwich = max(
-                    worst_sandwich,
-                    report.k_lower - report.k_exact - 1e-9,
-                    report.k_exact - report.k_upper - 1e-9,
-                )
-            # identities are exact up to round-off; the compared values are
-            # differences of unit-bounded direction cosines, so reference
-            # the relative measure to that unit scale
-            zs = np.linspace(-params.rho, params.rho, 11)
-            xs = np.linspace(-min(params.d, params.rho), params.rho, 11)
-            ys = np.linspace(0.0, params.rho, 7)[1:]
-            for w1, w2 in (
-                (bandwidth_z(zs, params), bandwidth_z(-zs, mirrored)),
-                (bandwidth_x(xs, params), bandwidth_x(xs, mirrored)),
-                (bandwidth_y(ys, params), bandwidth_y(-ys, params)),
-            ):
-                w1, w2 = np.asarray(w1), np.asarray(w2)
-                scale = np.maximum(np.abs(w1), 1.0)
-                worst_symmetry = max(worst_symmetry, float(np.max(np.abs(w1 - w2) / scale)))
+            extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
+                params, pointwise, extrema, k_number, samples=4001, points=11
+            )
+            worst_extrema = max(worst_extrema, extrema_err)
+            worst_sandwich = max(worst_sandwich, sandwich_err)
+            worst_symmetry = max(worst_symmetry, symmetry_err)
             l_probe = float(rng.uniform(0.1, 1.0)) * params.rho
             for tag, v in (("z", (0, 0, 1)), ("x", (1, 0, 0)), ("y", (0, 1, 0))):
                 closed = float(pointwise[tag](l_probe, params))
                 brute = bandwidth_generic(l_probe, v, params)
-                worst_generic = max(worst_generic, abs(brute - closed))
+                generic_errors.append(abs(brute - closed))
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             closed = bandwidth_generic(l_probe, v, params)
             brute = scan_spread(l_probe, v, params, samples=4001)
-            worst_generic = max(worst_generic, abs(brute - closed))
+            generic_errors.append(abs(brute - closed))
+    worst_generic = worst_error(generic_errors)
 
     checks = [
         ("closed-form extrema vs dense-scan oracle", worst_extrema, 1e-8),

@@ -1,17 +1,22 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the closed forms under test: extrema and the
-generic bandwidth come from ``losdof._oracle`` (dense grid scans with local
-refinement, shared with ``losdof verify``), integrals from the trapezoid
-rule, and the world-frame K number from a direct two-dimensional scan over
-source and receive positions in world coordinates.
+generic bandwidth come from ``losdof._oracle`` (dense grid scans with
+zooming-grid refinement, shared with ``losdof verify``), integrals from the
+trapezoid rule, and the world-frame K number from a direct two-dimensional
+scan over source and receive positions in world coordinates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from losdof._oracle import random_params, scan_extrema, scan_spread  # noqa: F401
+from losdof._oracle import (  # noqa: F401
+    axis_draw_errors,
+    random_params,
+    scan_extrema,
+    scan_spread,
+)
 
 
 def trapezoid_k(fn, lo: float, hi: float, panels: int = 1_000_000) -> float:

@@ -19,6 +19,7 @@ from losdof import (
     bandwidth_y,
     bandwidth_z,
     build_channel,
+    extrema,
     horizontal_scene_to_local,
     k_number,
     ncsmr_boundary,
@@ -32,9 +33,7 @@ from losdof import (
     usable_count,
     vertical_scene_to_local,
 )
-from losdof.bandwidth import extrema_x, extrema_y, extrema_z
-
-from helpers import random_params, scan_extrema
+from helpers import axis_draw_errors, random_params
 
 pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
 
@@ -185,47 +184,17 @@ def test_criterion_7_nyquist_flattening():
 def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(2024)
     pointwise = {"z": bandwidth_z, "x": bandwidth_x, "y": bandwidth_y}
-    closed = {"z": extrema_z, "x": extrema_x, "y": extrema_y}
     worst_extrema = 0.0
     sandwich_ok = True
     worst_symmetry = 0.0
     for _ in range(500):
         p = random_params(rng)
-        mirrored = AssemblyParams(p.L, p.rho, p.r, math.pi - p.theta)
-        for tag, direction in (("z", Z), ("x", X), ("y", Y)):
-            summary = closed[tag](p)
-            lo, hi = summary.effective_interval
-            o_lo, o_hi = scan_extrema(lambda v: pointwise[tag](v, p), lo, hi, samples=10001)
-            worst_extrema = max(
-                worst_extrema, abs(o_hi - summary.w_max), abs(o_lo - summary.w_min)
-            )
-            rep = k_number(p, direction)
-            slack = rep.quadrature_abs_err + 1e-9
-            sandwich_ok = sandwich_ok and (
-                rep.k_lower - slack <= rep.k_exact <= rep.k_upper + slack
-            )
-        # Symmetry identities, exact up to floating round-off.  The compared
-        # values are differences of unit-bounded direction cosines and the
-        # mirror angle pi - theta is itself rounded to a float, so the
-        # relative tolerance is referenced to that unit scale where the
-        # bandwidth value falls below it.
-        zs = np.linspace(-p.rho, p.rho, 9)
-        wz = np.asarray(bandwidth_z(zs, p))
-        dz = np.abs(wz - bandwidth_z(-zs, mirrored))
-        xs = np.linspace(-min(p.d, p.rho), p.rho, 9)
-        wx = np.asarray(bandwidth_x(xs, p))
-        dx = np.abs(wx - bandwidth_x(xs, mirrored))
-        ys = np.linspace(0.0, p.rho, 9)
-        wy = np.asarray(bandwidth_y(ys, p))
-        dy_even = np.abs(wy - bandwidth_y(-ys, p))
-        dy_theta = np.abs(wy - bandwidth_y(ys, mirrored))
-        worst_symmetry = max(
-            worst_symmetry,
-            float((dz / np.maximum(np.abs(wz), 1.0)).max()),
-            float((dx / np.maximum(np.abs(wx), 1.0)).max()),
-            float((dy_even / np.maximum(np.abs(wy), 1.0)).max()),
-            float((dy_theta / np.maximum(np.abs(wy), 1.0)).max()),
+        extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
+            p, pointwise, extrema, k_number, samples=10001, points=9
         )
+        worst_extrema = max(worst_extrema, extrema_err)
+        sandwich_ok = sandwich_ok and sandwich_err <= 0.0
+        worst_symmetry = max(worst_symmetry, symmetry_err)
     ok = worst_extrema <= 1e-8 and sandwich_ok and worst_symmetry <= 1e-12
     assert report(
         8, "oracle equivalence over 500 draws", ok,

@@ -58,9 +58,22 @@ class TestChannelMatrix:
         H2 = channel_matrix(np.multiply(rx, 2.0), np.multiply(tx, 2.0))
         assert np.allclose(np.abs(H2), np.abs(H1) / 2.0)
 
+    @pytest.mark.parametrize("n_r, n_t", [(7, 40), (40, 7)])
+    def test_matches_broadcast_formula(self, n_r, n_t):
+        # the reference builds the n_r x n_t x 3 difference tensor; the sum
+        # order is the same, so the entries agree bit for bit
+        rng = np.random.default_rng(n_r)
+        rx = rng.normal(size=(n_r, 3)) * 30.0
+        tx = rng.normal(size=(n_t, 3)) * 30.0 + 5.0
+        diff = rx[:, None, :] - tx[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert np.array_equal(channel_matrix(rx, tx), np.exp(2j * np.pi * dist) / dist)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             channel_matrix([(0, 0, 0)], [(0, 0, 0)])
+        with pytest.raises(ValueError):
+            channel_matrix([(0, 0, 0), (0, 0, 1)], [(3, 0, 0), (0, 0, 1), (0, 4, 0)])
 
     def test_mirror_symmetry_at_boresight(self):
         p = AssemblyParams(40.0, 5.0, 100.0, math.pi / 2)
@@ -94,6 +107,14 @@ class TestSingularSpectrum:
         assert np.allclose(
             singular_spectrum(H).sigmas, singular_spectrum(H.conj().T).sigmas, rtol=1e-12
         )
+
+    def test_wide_and_tall_orientations_agree(self):
+        p = AssemblyParams(100.0, 10.0, 300.0, 1.1)
+        H = build_channel(ChannelSpec(p, ReceiveDirection.x(), 0.5, 0.5))
+        assert H.shape[0] < H.shape[1]
+        wide = np.asarray(singular_spectrum(H).sigmas)
+        tall = np.asarray(singular_spectrum(H.T).sigmas)
+        assert np.max(np.abs(wide - tall)) <= 1e-13 * wide[0]
 
     def test_rank_one(self):
         u = np.ones((4, 1)) / 2.0

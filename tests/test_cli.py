@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,3 +359,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", ["k_number", "bandwidth_generic"])
+    def test_nan_fails(self, monkeypatch, capsys, name):
+        import losdof.cli as cli
+
+        real = getattr(cli, name)
+
+        def nan_k(params, direction):
+            return replace(real(params, direction), k_exact=math.nan)
+
+        def nan_generic(l, v, params):
+            return math.nan
+
+        monkeypatch.setattr(cli, name, nan_k if name == "k_number" else nan_generic)
+        assert run(["verify", "--draws", 2, "--seed", 1]) == 3
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1 and "worst inf" in out
