@@ -35,7 +35,7 @@ from .channel import (
     singular_spectrum,
     usable_count,
 )
-from .dof import KNumberReport, QuadratureError, k_bounds, k_linear, k_number, k_parallel
+from .dof import KNumberReport, k_bounds, k_linear, k_number, k_parallel
 from .geometry import (
     AssemblyParams,
     LocalFrame,
@@ -69,7 +69,6 @@ __all__ = [
     "KMap",
     "KNumberReport",
     "LocalFrame",
-    "QuadratureError",
     "R0Threshold",
     "ReceiveDirection",
     "RegionCurve",

@@ -175,11 +175,21 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
     c = params.r * math.cos(params.theta)
-    (g_lo, g_hi, g_star), distance = _frequencies(l, (vx, vy, vz), params.d, c, params.L)
+    out, distance = _spread(l, (vx, vy, vz), params.d, c, params.L)
     if (distance < 1e-9).any():
         raise ValueError("receive point coincides with a source point (zero distance)")
-    out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
     return float(out) if out.ndim == 0 else out
+
+
+def _spread(l, v_hat, d, c, L):
+    """``(max - min of the frequencies, distance to the source segment)`` at ``l``.
+
+    Unchecked: the spread is NaN, or meaningless, where the distance is
+    (nearly) zero.  Arguments as for ``_frequencies``.
+    """
+    (g_lo, g_hi, g_star), distance = _frequencies(l, v_hat, d, c, L)
+    out = np.maximum(np.maximum(g_lo, g_hi), g_star) - np.minimum(np.minimum(g_lo, g_hi), g_star)
+    return out, distance
 
 
 def _frequencies(l, v_hat, d, c, L):

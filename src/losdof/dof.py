@@ -4,9 +4,9 @@ The K number is the integral of the local spatial bandwidth over the
 direction's effective interval, exact in closed form from path-length
 differences (see ``k_number``; ``k_exact`` evaluates it for a whole batch of
 links in one array pass).  Alongside it this module provides the
-constant-bandwidth upper/lower bounds, the linear mid-point approximation,
-the classic parallel-array formula, and ``adaptive_gauss``, a reference
-quadrature for checks.
+constant-bandwidth upper/lower bounds, the linear mid-point approximation
+and the classic parallel-array formula.  Nothing here integrates
+numerically; the reference quadrature the checks use lives in ``_oracle``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe, ellipeinc, ellipk, ellipkinc
 
-from .bandwidth import (  # bandwidth_x/y/z unused; bench/tracing.py patches them here
+# QuadratureError is unused here; bench/tracing.py reads it on this module.
+from ._oracle import QuadratureError  # noqa: F401
+from .bandwidth import (  # bandwidth_generic/x/y/z unused; bench/tracing.py patches them here
     FarFieldWarning,
     _frequencies,
+    _spread,
     _warn_near_field,
     bandwidth_generic,
     bandwidth_x,
@@ -33,87 +36,16 @@ from .geometry import AssemblyParams, ReceiveDirection
 
 __all__ = [
     "KNumberReport",
-    "QuadratureError",
     "k_number",
     "k_exact",
     "k_bounds",
     "k_linear",
     "k_parallel",
-    "adaptive_gauss",
 ]
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive refinement hit its depth limit before reaching tolerance."""
-
-    def __init__(self, message: str, partial: float, abs_err: float):
-        super().__init__(message)
-        self.partial = partial
-        self.abs_err = abs_err
-
-
-# Fixed-order Gauss-Legendre rule applied per panel.
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _gauss_panel(fn, lo: float, hi: float) -> float:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
-
-
-def adaptive_gauss(
-    fn,
-    lo: float,
-    hi: float,
-    tol: float = 1e-8,
-    max_depth: int = 30,
-    breakpoints: tuple[float, ...] = (),
-) -> tuple[float, float]:
-    """Integrate ``fn`` over ``[lo, hi]`` to absolute tolerance ``tol``.
-
-    Panels are bisected adaptively with a fixed-order Gauss rule; known
-    interior breakpoints seed the initial panel edges so sharp features do
-    not straddle a panel.  Returns ``(value, error_estimate)``.
-
-    Raises
-    ------
-    QuadratureError
-        If a panel still fails its budget after ``max_depth`` bisection
-        levels; the exception carries the partial estimate.
-    """
-    if hi <= lo:
-        return 0.0, 0.0
-    edges = [lo] + sorted(p for p in set(breakpoints) if lo < p < hi) + [hi]
-    span = hi - lo
-    # (lo, hi, coarse estimate, tolerance budget, depth)
-    stack = [
-        (a, b, _gauss_panel(fn, a, b), tol * (b - a) / span, 0)
-        for a, b in zip(edges, edges[1:])
-    ]
-    total = 0.0
-    err_total = 0.0
-    while stack:
-        a, b, coarse, budget, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _gauss_panel(fn, a, mid)
-        right = _gauss_panel(fn, mid, b)
-        refined = left + right
-        err = abs(refined - coarse)
-        if err <= budget or err <= 1e-16 * abs(refined):
-            total += refined
-            err_total += err
-            continue
-        if depth >= max_depth:
-            partial = total + refined + sum(p[2] for p in stack)
-            raise QuadratureError(
-                f"quadrature failed to converge within {max_depth} refinement levels",
-                partial=partial,
-                abs_err=err_total + err,
-            )
-        stack.append((a, mid, left, 0.5 * budget, depth + 1))
-        stack.append((mid, b, right, 0.5 * budget, depth + 1))
-    return total, err_total
+# Fixed Gauss-Legendre nodes at which generic bounds sample each piece.
+_NODES = np.polynomial.legendre.leggauss(15)[0]
 
 
 def _stationary_integral(d, v, a, b):
@@ -218,9 +150,7 @@ class KNumberReport:
     """Exact K number with its constant-bandwidth bounds and linear approximation.
 
     ``k_lower <= k_exact <= k_upper`` holds (generic bounds are observed
-    extremes), and ``k_linear`` is the midpoint of the two bounds when all
-    three use the same interval.  ``quadrature_abs_err`` is always ``0.0``
-    (``k_exact`` is a closed form); it stays for readers of the JSON report.
+    extremes), and ``k_linear`` is the midpoint of the two bounds.
     """
 
     k_exact: float
@@ -228,7 +158,6 @@ class KNumberReport:
     k_lower: float
     k_linear: float
     direction: ReceiveDirection
-    quadrature_abs_err: float
 
 
 def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberReport:
@@ -241,11 +170,13 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     path-length difference (Miller, Appl. Opt. 2000); the stationary one to
     elliptic integrals.  Axis directions fill the bounds and the linear
     approximation from the exact-interval closed forms; generic directions
-    use the bandwidth extremes at fixed Gauss-Legendre nodes of each piece.
+    use the bandwidth extremes at fixed Gauss-Legendre nodes of each piece,
+    skipping a node that lands on a source point.
     """
     lo, hi = effective_interval(params, direction)
     v = direction.unit_vector
-    value, edges = _kernel(params.d, params.r * math.cos(params.theta), params.L, v, lo, hi)
+    c = params.r * math.cos(params.theta)
+    value, edges = _kernel(params.d, c, params.L, v, lo, hi)
     value = float(value)
     if direction.is_axis:
         lower, upper = k_bounds(params, direction)
@@ -254,55 +185,34 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
         _warn_near_field(params)
         edges = np.unique(edges)
         half = 0.5 * np.diff(edges)[:, None]
-        w = bandwidth_generic((edges[:-1, None] + half * (1.0 + _NODES)).ravel(), v, params)
-        lower, upper = float(w.min()) * (hi - lo), float(w.max()) * (hi - lo)
+        nodes = (edges[:-1, None] + half * (1.0 + _NODES)).ravel()
+        w = _spread(nodes, direction.v, params.d, c, params.L)[0]
+        lower, upper = float(np.nanmin(w)) * (hi - lo), float(np.nanmax(w)) * (hi - lo)
         linear = 0.5 * (lower + upper)
-    return KNumberReport(value, upper, lower, linear, direction, 0.0)
+    return KNumberReport(value, upper, lower, linear, direction)
 
 
-def k_bounds(
-    params: AssemblyParams,
-    direction: ReceiveDirection,
-    interval: str = "exact",
-) -> tuple[float, float]:
+def k_bounds(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float, float]:
     """Constant-bandwidth (lower, upper) bounds on the K number.
 
-    ``interval="exact"`` uses the direction's effective interval length, so
-    the sandwich ``k_lower <= k_exact <= k_upper`` is guaranteed.
-    ``interval="simplified"`` applies the full-array length ``2*rho`` for
-    the e_x direction as well (the convention the region-boundary equations
-    adopt); it keeps the upper bound valid but can overshoot the lower one
-    when ``d < rho``.
+    The bandwidth extrema times the direction's effective interval length,
+    so the sandwich ``k_lower <= k_exact <= k_upper`` is guaranteed.
     """
     summary = extrema(params, direction)
-    length = _interval_length(params, direction, interval, summary)
-    return summary.w_min * length, summary.w_max * length
+    lo, hi = summary.effective_interval
+    return summary.w_min * (hi - lo), summary.w_max * (hi - lo)
 
 
-def k_linear(
-    params: AssemblyParams,
-    direction: ReceiveDirection,
-    interval: str = "exact",
-) -> float:
+def k_linear(params: AssemblyParams, direction: ReceiveDirection) -> float:
     """Linear (midpoint) approximation of the K number.
 
     The bandwidth profile is approximated by a linear ramp between its
     extrema over the effective interval, which integrates to the midpoint
-    formula ``(w_min + w_max)/2 * |I|``.  See ``k_bounds`` for the
-    ``interval`` convention.
+    formula ``(w_min + w_max)/2 * |I|``.
     """
     summary = extrema(params, direction)
-    length = _interval_length(params, direction, interval, summary)
-    return 0.5 * (summary.w_min + summary.w_max) * length
-
-
-def _interval_length(params, direction, interval, summary) -> float:
-    if interval not in ("exact", "simplified"):
-        raise ValueError(f"interval must be 'exact' or 'simplified', got {interval!r}")
-    if interval == "simplified" and direction.tag == "x":
-        return 2.0 * params.rho
     lo, hi = summary.effective_interval
-    return hi - lo
+    return 0.5 * (summary.w_min + summary.w_max) * (hi - lo)
 
 
 def k_parallel(source_length: float, receive_length: float, distance: float) -> float:

@@ -22,7 +22,7 @@ from the source axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +66,15 @@ class AssemblyParams:
     theta : float
         Polar angle of the receive centre from the source axis, in
         ``[0, pi]``.
-    v_hat : sequence of 3 floats, optional
-        Unit orientation of the receive array in receiving coordinates.
-        Defaults to ``e_z`` (parallel arrays).
+
+    The receive array's orientation is not part of the assembly; it is
+    given separately as a ``ReceiveDirection``.
     """
 
     L: float
     rho: float
     r: float
     theta: float
-    v_hat: tuple[float, float, float] = field(default=(0.0, 0.0, 1.0))
 
     def __post_init__(self):
         for name in ("L", "rho", "r", "theta"):
@@ -91,7 +90,6 @@ class AssemblyParams:
             raise ValueError(f"centre distance r must be positive, got {self.r!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        object.__setattr__(self, "v_hat", _as_unit_tuple(self.v_hat))
 
     # Derived quantities used throughout the bandwidth closed forms.
     @property
@@ -127,9 +125,6 @@ class AssemblyParams:
         this branch; the closed forms are continuous across it.
         """
         return self.r * abs(math.cos(self.theta)) <= 0.5 * self.L
-
-    def with_v_hat(self, v_hat) -> "AssemblyParams":
-        return AssemblyParams(self.L, self.rho, self.r, self.theta, v_hat)
 
 
 @dataclass(frozen=True)
@@ -219,6 +214,8 @@ class ScenePlacement:
 class LocalFrame:
     """Receive-frame description of a scene placement for one ground position.
 
+    ``params`` is the local assembly and ``direction`` the receive-array
+    orientation in receiving coordinates, as a generic direction.
     ``projections`` holds the receive-array projections onto the three
     receiving axes as ``(L_x, L_y, L_z)``.  ``angle`` is the in-scene
     reference angle (``gamma`` for vertical placement, ``psi`` for
@@ -227,6 +224,7 @@ class LocalFrame:
     """
 
     params: AssemblyParams
+    direction: ReceiveDirection
     angle: float
     projections: tuple[float, float, float]
     degenerate: bool = False
@@ -319,10 +317,10 @@ def _scene_frame(scene: ScenePlacement, mode: str, phi: float) -> LocalFrame:
     # Only a vertical placement's v_y can be negative: phi in [0, pi] and y >= 0
     # keep sin(phi), cos(psi) and sin(psi) non-negative.
     projections = tuple(float(c) for c in lr * np.abs(v_hat))
-    params = AssemblyParams(scene.source_length, 0.5 * lr, float(r), float(theta),
-                            tuple(float(c) for c in v_hat))
+    params = AssemblyParams(scene.source_length, 0.5 * lr, float(r), float(theta))
+    direction = ReceiveDirection.generic(v_hat)
     degenerate = mode == "vertical" and x == 0.0 and y == 0.0
-    return LocalFrame(params, float(angle), projections, degenerate)
+    return LocalFrame(params, direction, float(angle), projections, degenerate)
 
 
 def vertical_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:

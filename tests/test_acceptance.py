@@ -212,8 +212,7 @@ def _scenario_k(scene: ScenePlacement, x: float, y: float, phi: float) -> float:
                        (x, y), scene.receive_length),
         phi,
     )
-    direction = ReceiveDirection.generic(frame.params.v_hat)
-    return k_number(frame.params, direction).k_exact
+    return k_number(frame.params, frame.direction).k_exact
 
 
 def test_criterion_9_scenario_invariances():

@@ -180,7 +180,7 @@ class TestGenericDirection:
 
     def test_zero_distance_rejected(self):
         # receive point placed exactly on the source segment
-        p = AssemblyParams(400.0, 20.0, 10.0, math.pi / 2, v_hat=(1.0, 0.0, 0.0))
+        p = AssemblyParams(400.0, 20.0, 10.0, math.pi / 2)
         with pytest.raises(ValueError):
             bandwidth_generic(-10.0, (1.0, 0.0, 0.0), p)
 

@@ -82,10 +82,6 @@ class TestAssemblyParams:
         with pytest.raises(ValueError):
             AssemblyParams(**kwargs)
 
-    def test_v_hat_must_be_unit(self):
-        with pytest.raises(ValueError):
-            AssemblyParams(400, 20, 100, 1.0, v_hat=(1.0, 1.0, 0.0))
-
     @given(theta=st.floats(0.0, math.pi))
     @settings(max_examples=50, deadline=None)
     def test_end_offsets_ordered(self, theta):
@@ -168,7 +164,7 @@ class TestVerticalTransform:
         assert rot.params.r == pytest.approx(base.params.r, rel=1e-12)
         assert rot.params.theta == pytest.approx(base.params.theta, rel=1e-12)
         assert (0.7 + alpha) - rot.angle == pytest.approx(0.7 - base.angle, abs=1e-12)
-        assert np.allclose(rot.params.v_hat, base.params.v_hat, atol=1e-12)
+        assert np.allclose(rot.direction.v, base.direction.v, atol=1e-12)
 
     @given(
         x=st.floats(-800, 800),
@@ -226,4 +222,4 @@ class TestHorizontalTransform:
 
     def test_v_hat_is_unit(self):
         frame = horizontal_scene_to_local(self.scene(123, 45), phi=1.1)
-        assert np.linalg.norm(frame.params.v_hat) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(frame.direction.v) == pytest.approx(1.0, abs=1e-12)

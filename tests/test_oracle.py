@@ -1,4 +1,5 @@
-"""Unit tests of the brute-force oracles ``scan_extrema`` and ``axis_draw_errors``."""
+"""Unit tests of the brute-force oracles: ``scan_extrema``, ``axis_draw_errors`` and
+``adaptive_gauss``."""
 
 import math
 from dataclasses import replace
@@ -15,7 +16,14 @@ from losdof import (
     extrema,
     k_number,
 )
-from losdof._oracle import MAX_ZOOMS, ZOOM_POINTS, axis_draw_errors, scan_extrema
+from losdof._oracle import (
+    MAX_ZOOMS,
+    ZOOM_POINTS,
+    QuadratureError,
+    adaptive_gauss,
+    axis_draw_errors,
+    scan_extrema,
+)
 
 
 class CountingFn:
@@ -143,3 +151,25 @@ def test_nan_bandwidth_fails_the_symmetry_check():
         PARAMS, {**POINTWISE, "y": nan_y}, extrema, k_number, samples=11, points=11
     )
     assert symmetry_err == math.inf
+
+
+class TestAdaptiveGauss:
+    def test_polynomial_exact(self):
+        value, err = adaptive_gauss(lambda x: x ** 4, 0.0, 2.0)
+        assert value == pytest.approx(32.0 / 5.0, abs=1e-12)
+        assert err <= 1e-8
+
+    def test_kinked_integrand(self):
+        value, _ = adaptive_gauss(abs, -1.0, 1.0, breakpoints=(0.0,))
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_interval(self):
+        assert adaptive_gauss(math.sin, 1.0, 1.0) == (0.0, 0.0)
+
+    def test_depth_limit_carries_partial(self):
+        # a discontinuity never satisfies the per-panel budget
+        step = lambda x: 0.0 if x < math.sqrt(0.5) else 1.0
+        with pytest.raises(QuadratureError) as info:
+            adaptive_gauss(step, 0.0, 1.0, tol=1e-14, max_depth=12)
+        partial = info.value.partial
+        assert partial == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-3)

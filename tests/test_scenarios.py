@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from losdof import (
     GroundGrid,
-    ReceiveDirection,
     ScenePlacement,
     k_map,
     k_number,
@@ -35,8 +34,7 @@ def k_at(scene, x, y, phi):
                        (x, y), scene.receive_length),
         phi,
     )
-    direction = ReceiveDirection.generic(frame.params.v_hat)
-    return k_number(frame.params, direction).k_exact
+    return k_number(frame.params, frame.direction).k_exact
 
 
 class TestGammaPolicy:
