@@ -253,19 +253,24 @@ def _stationary(far, near):
     return a * b / np.sqrt(a + b)
 
 
-def _axis_extrema(tag: str, theta: float, L: float, rho: float, r):
-    """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over ``r``.
+def _axis_extrema(tag: str, theta, L: float, rho: float, r):
+    """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over ``theta`` and ``r``.
 
     The closed forms behind ``extrema_z/x/y``, with every branch evaluated
     and chosen elementwise (the branches those docstrings describe), so one
-    call covers a whole grid of centre distances.  Branches not taken may
-    divide by zero; the kernel never warns.
+    call covers a whole grid of polar angles and centre distances.  Branches
+    not taken may divide by zero; the kernel never warns.
     """
     # A scalar r becomes a numpy scalar, whose arithmetic is cheaper than a 0-d array's.
     r = np.asarray(r, dtype=float)[()]
-    cos_t = math.cos(theta)
-    d = r * math.sin(theta)
-    axial = r * abs(cos_t)
+    if isinstance(theta, float):
+        # One angle: math's cos and sin give numpy's floats at a fraction of the call cost.
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        axial = r * abs(cos_t)
+    else:
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        axial = r * np.abs(cos_t)
+    d = r * sin_t
     A = axial + 0.5 * L
     B = axial - 0.5 * L
     inside = axial <= 0.5 * L

@@ -21,6 +21,7 @@ from scipy.special import ellipe, ellipeinc, ellipk, ellipkinc
 # QuadratureError is unused here; bench/tracing.py reads it on this module.
 from ._oracle import QuadratureError  # noqa: F401
 from .bandwidth import (  # bandwidth_generic/x/y/z unused; bench/tracing.py patches them here
+    BandwidthSummary,
     FarFieldWarning,
     _frequencies,
     _spread,
@@ -179,8 +180,9 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     value, edges = _kernel(params.d, c, params.L, v, lo, hi)
     value = float(value)
     if direction.is_axis:
-        lower, upper = k_bounds(params, direction)
-        linear = k_linear(params, direction)
+        summary = extrema(params, direction)
+        lower, upper = _bounds(summary)
+        linear = _linear(summary)
     else:
         _warn_near_field(params)
         edges = np.unique(edges)
@@ -198,7 +200,10 @@ def k_bounds(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float
     The bandwidth extrema times the direction's effective interval length,
     so the sandwich ``k_lower <= k_exact <= k_upper`` is guaranteed.
     """
-    summary = extrema(params, direction)
+    return _bounds(extrema(params, direction))
+
+
+def _bounds(summary: BandwidthSummary) -> tuple[float, float]:
     lo, hi = summary.effective_interval
     return summary.w_min * (hi - lo), summary.w_max * (hi - lo)
 
@@ -210,7 +215,10 @@ def k_linear(params: AssemblyParams, direction: ReceiveDirection) -> float:
     extrema over the effective interval, which integrates to the midpoint
     formula ``(w_min + w_max)/2 * |I|``.
     """
-    summary = extrema(params, direction)
+    return _linear(extrema(params, direction))
+
+
+def _linear(summary: BandwidthSummary) -> float:
     lo, hi = summary.effective_interval
     return 0.5 * (summary.w_min + summary.w_max) * (hi - lo)
 

@@ -11,12 +11,14 @@ bandwidth extrema with the full-array interval convention, i.e. they solve
     w_max(r) = 2 K0 / rho            (e_y boundary; that whole region is
                                       non-constant-bandwidth by nature)
 
-treating the distance ``r`` as the unknown at fixed polar angle.  Each
-scan grid of distances is evaluated in one array call of the closed-form
-extrema kernel, and each bracket is refined by Brent's method on the same
-kernel.  The solvers set no warning filter: the kernel never warns, so
-probes below ten wavelengths raise no ``FarFieldWarning`` and the module is
-safe to call from several threads.
+treating the distance ``r`` as the unknown at fixed polar angle.
+``boundary_curve`` solves a whole polar-angle grid in one array pass: the
+scan grids of many angles go to the closed-form extrema kernel together, and
+one vectorised bracketed solve (Chandrupatla's method) refines every bracket
+of every angle on the same kernel.  ``smr_boundary``, ``smr_boundary_y`` and
+``ncsmr_boundary`` are its one-angle calls.  The solvers set no warning
+filter: the kernel never warns, so probes below ten wavelengths raise no
+``FarFieldWarning`` and the module is safe to call from several threads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+# Unused here; kept because bench/tracing.py counts calls through this name.
+from scipy.optimize import brentq  # noqa: F401
 
 from .bandwidth import _axis_extrema
 # Unused here; kept because bench/tracing.py wraps these names.
@@ -50,7 +53,8 @@ __all__ = [
 #: extrema (exact endfire geometries).
 RESIDUAL_TOL = 1e-9
 
-#: radii on the log-spaced scan grid of ``ncsmr_boundary``.
+#: radii on the log-spaced scan grid of ``ncsmr_boundary``, and the most
+#: points one kernel call evaluates.
 _SCAN_POINTS = 2048
 
 
@@ -110,13 +114,72 @@ def _check_positive(**values: float):
             raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _excess(tag: str, theta: float, L: float, rho: float, target: float, spread: bool):
-    """``w(r) - target`` at scalar or array ``r``; ``w`` is w_max, or w_range if ``spread``."""
-    def g(r):
+def _excess(tag: str, L: float, rho: float, target: float, spread: bool):
+    """``w(theta, r) - target``, broadcast; ``w`` is w_max, or w_range if ``spread``."""
+    def g(theta, r):
         w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
         return (w_max - w_min if spread else w_max) - target
 
     return g
+
+
+def _evaluate(g, theta, r) -> np.ndarray:
+    """``g(theta[i], r[i])`` for every ``i``, in kernel calls of at most ``_SCAN_POINTS`` points."""
+    out = np.empty(len(r))
+    for i in range(0, len(r), _SCAN_POINTS):
+        out[i:i + _SCAN_POINTS] = g(theta[i:i + _SCAN_POINTS], r[i:i + _SCAN_POINTS])
+    return out
+
+
+def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
+                     maxiter: int = 100) -> np.ndarray:
+    """Roots of many bracketed functions in one vectorised solve (Chandrupatla).
+
+    Bracket ``i`` is ``[a[i], b[i]]`` with end values ``fa[i]``, ``fb[i]``
+    of opposite sign or zero; ``f(x, i)`` evaluates the functions of the
+    brackets ``i`` at ``x``, and is called once per step for the brackets
+    still open.  Each step takes the inverse-quadratic point through the
+    last three points where Chandrupatla's test (Adv. Eng. Softw. 28, 1997)
+    finds it safe and the midpoint otherwise; the first step interpolates
+    linearly.  A bracket closes when ``f`` is exactly 0 or its width is
+    below ``xtol + rtol*|x|`` (brentq's test), and gives its point of least
+    ``|f|``.  A bracket without a sign change, or one where ``f`` turns NaN,
+    gives NaN.
+    """
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    index = np.flatnonzero(fa * fb < 0.0)
+    a, b, fa, fb = a[index], b[index], fa[index], fb[index]
+    c, fc, x = b, fb, b
+    t = fa / (fa - fb)
+    with np.errstate(all="ignore"):
+        for _ in range(maxiter):
+            if not index.size:
+                break
+            xt = a + t * (b - a)
+            ft = f(xt, index)
+            # Keep the root between a (the newest point) and b; c is the point dropped.
+            same = (ft < 0.0) == (fa < 0.0)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = xt, ft
+            least = np.abs(fa) < np.abs(fb)
+            x, fx = np.where(least, a, b), np.where(least, fa, fb)
+            t_min = 0.5 * (xtol + rtol * np.abs(x)) / np.abs(b - a)
+            nan = np.isnan(ft)
+            done = (fx == 0.0) | (t_min > 0.5) | nan
+            if done.any():
+                roots[index[done]] = np.where(nan, np.nan, x)[done]
+                index, a, b, c, fa, fb, fc, x, t_min = (
+                    v[~done] for v in (index, a, b, c, fa, fb, fc, x, t_min))
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb), 0.5)
+            t = np.minimum(np.maximum(t, t_min), 1.0 - t_min)
+    roots[index] = x
+    return roots
 
 
 def _scan_hi(L: float, rho: float) -> float:
@@ -125,30 +188,86 @@ def _scan_hi(L: float, rho: float) -> float:
     return 4.0 * r0_threshold(L, rho).approx
 
 
-def _largest_root(g, r_hi: float, r_floor: float = 1e-6) -> float | None:
-    """Outermost zero of ``g``: geometric grid downward, then Brent refinement."""
-    hi = r_hi
-    g_hi = g(hi)
-    # If the target is still exceeded out here, push the start further out.
-    while g_hi > 0 and hi < 1e12:
-        hi *= 4.0
-        g_hi = g(hi)
-    if g_hi == 0.0:
-        return hi
-    # hi, hi/step, (hi/step)/step, ... down to r_floor, by repeated division.
+def _largest_roots(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> list[tuple]:
+    """Outermost zero of ``g`` per angle: geometric grids downward, then one bracketed solve."""
+    hi = np.full(len(theta), r_hi)
+    g_hi = _evaluate(g, theta, hi)
+    # Where the target is still exceeded out here, push the start further out.
+    push = np.flatnonzero((g_hi > 0) & (hi < 1e12))
+    while push.size:
+        hi[push] *= 4.0
+        g_hi[push] = _evaluate(g, theta[push], hi[push])
+        push = push[(g_hi[push] > 0) & (hi[push] < 1e12)]
+    # Rows hi, hi/step, (hi/step)/step, ... by repeated division, down to
+    # r_floor; each block of rows, padded to its longest, is one kernel call.
     step = 2.0 ** 0.25
-    count = math.ceil(math.log(hi / r_floor) / math.log(step)) + 2
-    grid = np.divide.accumulate(np.r_[hi, np.full(count, step)])
-    grid = grid[grid > r_floor]
-    values = np.r_[g_hi, g(grid[1:])]
-    # First zero or sign change from the top.
-    hits = np.flatnonzero((values[1:] == 0.0) | (values[1:] * values[:-1] < 0))
-    if not hits.size:
-        return None
-    i = hits[0] + 1
-    if values[i] == 0.0:
-        return float(grid[i])
-    return float(brentq(g, grid[i], grid[i - 1], xtol=1e-12, rtol=1e-12))
+    count = np.ceil(np.log(hi / r_floor) / math.log(step)).astype(int) + 2
+    per_call = max(1, _SCAN_POINTS // count.max())
+    brackets = []
+    for start in range(0, len(theta), per_call):
+        block = slice(start, start + per_call)
+        steps = np.full((len(hi[block]), count[block].max()), step)
+        grid = np.divide.accumulate(np.column_stack([hi[block], steps]), axis=1)
+        values = np.column_stack([g_hi[block], g(theta[block, None], grid[:, 1:])])
+        # First zero or sign change from the top of each row.
+        hit = values == 0.0
+        hit[:, 1:] |= values[:, 1:] * values[:, :-1] < 0
+        hit &= grid > r_floor
+        first = hit.argmax(axis=1)
+        rows = np.flatnonzero(hit[np.arange(len(hit)), first])
+        lo, up = first[rows], np.maximum(first[rows] - 1, 0)
+        brackets.append((start + rows, grid[rows, lo], grid[rows, up],
+                         values[rows, lo], values[rows, up]))
+    rows, a, b, fa, fb = (np.concatenate(v) for v in zip(*brackets))
+    roots = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
+    found = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
+    radii = [()] * len(theta)
+    for row, root in zip(rows[found].tolist(), roots[found].tolist()):
+        radii[row] = (root,)
+    return radii
+
+
+def _all_roots(g, theta: np.ndarray, grid: np.ndarray) -> list[tuple]:
+    """Every zero of ``g`` per angle on ``grid``: sign changes, then one bracketed solve."""
+    zero_rows, zeros, rows, cols, fa, fb = [], [], [], [], [], []
+    for row, angle in enumerate(theta):
+        values = g(angle, grid)
+        at = np.flatnonzero(values == 0.0)
+        zero_rows.append(np.full(at.size, row))
+        zeros.append(grid[at])
+        at = np.flatnonzero(values[:-1] * values[1:] < 0)
+        rows.append(np.full(at.size, row))
+        cols.append(at)
+        fa.append(values[at])
+        fb.append(values[at + 1])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    solved = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r),
+                              grid[cols], grid[cols + 1], np.concatenate(fa), np.concatenate(fb))
+    rows = np.concatenate(zero_rows + [rows])
+    roots = np.concatenate(zeros + [solved])
+    keep = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
+    rows, roots = rows[keep], roots[keep]
+    order = np.lexsort((roots, rows))
+    splits = np.searchsorted(rows[order], np.arange(1, len(theta)))
+    return [tuple(part.tolist()) for part in np.split(roots[order], splits)]
+
+
+def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: float):
+    """Boundary radii of one kind and axis direction at every polar angle in ``theta``."""
+    theta = np.asarray(theta, dtype=float)
+    if kind == "ncsmr":
+        _check_positive(delta_k=threshold)
+        g = _excess(_check_zx(tag), L, rho, threshold / rho, spread=True)
+    elif tag == "y":
+        _check_positive(K0=threshold)
+        g = _excess("y", L, rho, 2.0 * threshold / rho, spread=False)
+    else:
+        g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)
+    if not theta.size:
+        return []
+    if kind == "ncsmr":
+        return _all_roots(g, theta, np.geomspace(1.0, _scan_hi(L, rho), _SCAN_POINTS))
+    return _largest_roots(g, theta, _scan_hi(L, rho))
 
 
 def smr_boundary(
@@ -158,13 +277,11 @@ def smr_boundary(
 
     Largest ``r`` with ``w_max(r) = K0 / (2 rho)`` for the e_z or e_x
     orientation (the bandwidth maximum eventually decreases with distance).
-    Returns None when no distance attains the target.
+    Returns None when no distance attains the target.  The one-angle call
+    of ``boundary_curve``.
     """
-    g = _excess(_check_zx(direction), theta, L, rho, K0 / (2.0 * rho), spread=False)
-    root = _largest_root(g, _scan_hi(L, rho))
-    if root is None or abs(g(root)) > RESIDUAL_TOL:
-        return None
-    return root
+    radii = _curve_radii(_check_zx(direction), "smr", [theta], L, rho, K0)[0]
+    return radii[0] if radii else None
 
 
 def smr_boundary_y(theta: float, L: float, rho: float, K0: float) -> float | None:
@@ -173,14 +290,11 @@ def smr_boundary_y(theta: float, L: float, rho: float, K0: float) -> float | Non
     Solves ``w_max(r) = 2 K0 / rho``.  The bandwidth profile along e_y
     always ranges from zero to its maximum, so the whole region is
     non-constant-bandwidth and the equation comes from the linear K
-    approximation rather than a constant one.
+    approximation rather than a constant one.  The one-angle call of
+    ``boundary_curve``.
     """
-    _check_positive(K0=K0)
-    g = _excess("y", theta, L, rho, 2.0 * K0 / rho, spread=False)
-    root = _largest_root(g, _scan_hi(L, rho))
-    if root is None or abs(g(root)) > RESIDUAL_TOL:
-        return None
-    return root
+    radii = _curve_radii("y", "smr", [theta], L, rho, K0)[0]
+    return radii[0] if radii else None
 
 
 def ncsmr_boundary(
@@ -193,19 +307,9 @@ def ncsmr_boundary(
     exist for one angle (the array may enter and leave the region as the
     distance shrinks).  Roots are returned in increasing order; a crossing
     whose residual exceeds ``RESIDUAL_TOL`` is a jump of ``w_range``, not a
-    root, and is dropped.
+    root, and is dropped.  The one-angle call of ``boundary_curve``.
     """
-    direction = _check_zx(direction)
-    _check_positive(delta_k=delta_k)
-    g = _excess(direction, theta, L, rho, delta_k / rho, spread=True)
-    grid = np.geomspace(1.0, _scan_hi(L, rho), _SCAN_POINTS)
-    values = g(grid)
-    brackets = np.flatnonzero(values[:-1] * values[1:] < 0)
-    roots = np.sort(np.r_[
-        grid[values == 0.0],
-        [brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12) for i in brackets],
-    ])
-    return [float(root) for root in roots[np.abs(g(roots)) <= RESIDUAL_TOL]]
+    return list(_curve_radii(_check_zx(direction), "ncsmr", [theta], L, rho, delta_k)[0])
 
 
 def _check_zx(direction: str) -> str:
@@ -259,16 +363,6 @@ def boundary_curve(
         raise ValueError(f"kind must be 'smr' or 'ncsmr', got {kind!r}")
     if tag == "y" and kind != "smr":
         raise ValueError("the e_y region is wholly non-constant-bandwidth; use kind='smr'")
-    samples: list[tuple[float, tuple[float, ...]]] = []
-    for theta in theta_grid:
-        theta = float(theta)
-        if kind == "ncsmr":
-            radii = tuple(ncsmr_boundary(tag, theta, L, rho, threshold))
-        elif tag == "y":
-            root = smr_boundary_y(theta, L, rho, threshold)
-            radii = () if root is None else (root,)
-        else:
-            root = smr_boundary(tag, theta, L, rho, threshold)
-            radii = () if root is None else (root,)
-        samples.append((theta, radii))
-    return RegionCurve(tag, kind, float(threshold), samples)
+    thetas = [float(theta) for theta in theta_grid]
+    radii = _curve_radii(tag, kind, thetas, L, rho, threshold)
+    return RegionCurve(tag, kind, float(threshold), list(zip(thetas, radii)))

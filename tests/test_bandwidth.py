@@ -375,6 +375,21 @@ def test_axis_extrema_kernel_over_r(tag, L, rho, theta):
         assert w_min[i] == pytest.approx(o_lo, abs=1e-9)
 
 
+@given(tag=st.sampled_from("zxy"), L=st.floats(10.0, 1e3), rho=st.floats(1.0, 1e2))
+@settings(max_examples=20, deadline=None)
+def test_axis_extrema_kernel_over_theta(tag, L, rho):
+    # a grid of polar angles by radii in one call, row by row as one angle's call
+    theta = np.r_[0.0, np.linspace(0.01, math.pi - 0.01, 7), math.pi / 2, math.pi]
+    r = np.geomspace(1e-2, 1e5, 23)
+    w_max, w_min, argmax = _axis_extrema(tag, theta[:, None], L, rho, r)
+    assert w_max.shape == (theta.size, r.size)
+    for i, th in enumerate(theta):
+        s_max, s_min, s_arg = _axis_extrema(tag, float(th), L, rho, r)
+        np.testing.assert_allclose(w_max[i], s_max, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w_min[i], s_min, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(argmax[i], s_arg, rtol=1e-10, atol=1e-10)
+
+
 class TestFarFieldFlag:
     def test_warns_below_ten_wavelengths(self):
         p = AssemblyParams(40.0, 2.0, 5.0, math.pi / 2)

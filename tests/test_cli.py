@@ -216,6 +216,55 @@ class TestRegionBoundaryCommand:
         assert np.allclose(b[:, 1], a[:, 1] * lam, rtol=1e-9)     # radii in metres
 
 
+class TestRegionBoundaryEdgeCases:
+    """Edge cases of the array pass, pinned to the per-angle solver's output."""
+
+    BASE = ["region-boundary", "-L", 400, "--rho", 20]
+
+    def rows(self, tmp_path, *args):
+        out = tmp_path / "b.csv"
+        assert run([*self.BASE, *args, "--output", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "theta,radius,root_index"
+        return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+    def assert_rows(self, got, expected):
+        assert len(got) == len(expected)
+        for (theta, radius, index), (theta_e, radius_e, index_e) in zip(got, expected):
+            assert (theta, index) == (theta_e, index_e)
+            assert radius == pytest.approx(radius_e, rel=1e-12)
+
+    def test_no_angles_writes_header_only(self, tmp_path):
+        assert self.rows(tmp_path, "--direction", "z", "--kind", "smr", "--theta-steps", 0) == []
+
+    def test_one_angle(self, tmp_path):
+        got = self.rows(tmp_path, "--direction", "z", "--kind", "smr", "--theta-steps", 1)
+        self.assert_rows(got, [(0.19634954084936207, 759.8896171565374, 0)])
+
+    def test_one_endfire_angle_with_two_roots(self, tmp_path):
+        got = self.rows(tmp_path, "--direction", "x", "--kind", "ncsmr",
+                        "--theta-min", 0, "--theta-max", 0, "--theta-steps", 1)
+        self.assert_rows(got, [(0.0, 199.49968710876348, 0), (0.0, 446.3172876215587, 1)])
+
+    def test_angles_without_root_are_empty(self, tmp_path):
+        # theta = 0 (a jump of w_range, not a root) and pi/2 have no root
+        got = self.rows(tmp_path, "--direction", "z", "--kind", "ncsmr", "--theta-min", 0,
+                        "--theta-max", math.pi / 2, "--theta-steps", 3)
+        self.assert_rows(got, [(0.7853981633974483, 96.71704403645134, 0),
+                               (0.7853981633974483, 590.3502760828891, 1)])
+        assert self.rows(tmp_path, "--direction", "y", "--kind", "smr",
+                         "--threshold", 1e6, "--theta-steps", 3) == []
+
+    def test_start_pushed_outward(self, tmp_path):
+        # K0 = 0.1 is still exceeded at 4 R0 = 64,000 near broadside, so the
+        # scan starts further out there
+        got = self.rows(tmp_path, "--direction", "z", "--kind", "smr",
+                        "--threshold", 0.1, "--theta-steps", 3)
+        self.assert_rows(got, [(0.19634954084936207, 6160.611274431184, 0),
+                               (1.5707963267948963, 159999.87499995113, 0),
+                               (2.945243112740431, 6160.611274431067, 0)])
+
+
 class TestChannelSvdCommand:
     def test_case_study_sidecar(self, tmp_path):
         out = tmp_path / "svd.csv"

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losdof import (
@@ -23,7 +23,10 @@ from losdof import (
     smr_boundary,
     smr_boundary_y,
 )
-from losdof.regions import RESIDUAL_TOL
+from losdof import regions
+from losdof.regions import RESIDUAL_TOL, _all_roots, _bracketed_roots, _largest_roots
+
+from helpers import reference_excess, reference_radii
 
 pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
 
@@ -251,10 +254,164 @@ class TestBoundaryCurve:
             boundary_curve("z", "smr", [1.0, 0.5], L, RHO, 1.0)
 
 
+CURVES = [("ncsmr", "x"), ("ncsmr", "z"), ("smr", "x"), ("smr", "y"), ("smr", "z")]
+
+
+@given(
+    L=st.floats(20.0, 600.0),
+    rho=st.floats(1.0, 30.0),
+    threshold=st.floats(0.05, 3.0),
+    interior=st.lists(st.floats(0.0, math.pi), max_size=5),
+)
+@example(L=20.0, rho=2.0, threshold=1.0, interior=[1e-5])
+@example(L=205.0, rho=10.0, threshold=1.0, interior=[1.192092896e-07])
+@settings(max_examples=10, deadline=None)
+def test_curves_match_per_angle_brentq(L, rho, threshold, interior):
+    # the array pass against the per-angle scans refined by scipy's brentq,
+    # on angle grids that include both endfire directions
+    thetas = sorted({0.0, math.pi, *interior})
+    for kind, tag in CURVES:
+        curve = boundary_curve(tag, kind, thetas, L, rho, threshold)
+        for theta, radii in curve.samples:
+            expected = reference_radii(tag, kind, theta, L, rho, threshold)
+            # Roots agree within 1e-12 (abs: both solvers stop within
+            # xtol = 1e-12 of a tiny root).  A root only one side has must be
+            # one whose residual moves by more than RESIDUAL_TOL within the
+            # solvers' resolution xtol + rtol*r: there the residual check
+            # decides by where the last step lands.  Near endfire (L = 20,
+            # rho = 2, theta = 1e-5) the e_z excess has slope 480 at its root.
+            g = reference_excess(tag, kind, theta, L, rho, threshold)
+            for r in _unmatched(radii, expected) + _unmatched(expected, radii):
+                step = 1e-12 + 1e-12 * r
+                assert abs(g(r + step) - g(r - step)) > RESIDUAL_TOL, (kind, tag, theta, r)
+
+
+def _unmatched(roots, others):
+    return [r for r in roots
+            if not any(r == pytest.approx(e, rel=1e-12, abs=2e-12) for e in others)]
+
+
+class TestBracketedRoots:
+    @staticmethod
+    def solve(f, a, b, **tol):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        calls = []
+
+        def counted(x, i):
+            calls.append(i.size)
+            return f(x, i)
+
+        index = np.arange(a.size)
+        return _bracketed_roots(counted, a, b, f(a, index), f(b, index), **tol), calls
+
+    def test_one_call_per_step_serves_every_bracket(self):
+        targets = np.linspace(0.5, 80.0, 300)
+        roots, calls = self.solve(lambda x, i: x * x - targets[i],
+                                  np.zeros(300), np.full(300, 10.0))
+        assert roots == pytest.approx(np.sqrt(targets), rel=1e-12)
+        assert calls[0] == 300 and len(calls) < 15
+        assert calls == sorted(calls, reverse=True)
+
+    def test_root_at_a_bracket_end(self):
+        # f(sqrt 2) is 4.4e-16, not 0: the root sits at the end within rounding
+        end = math.sqrt(2.0)
+        roots, _ = self.solve(lambda x, i: x * x - 2.0, [1.0, end], [end, 1.0])
+        assert (np.abs(roots - end) <= 1e-12 * (1.0 + end)).all()
+
+    def test_zero_at_an_endpoint_is_returned_unsolved(self):
+        roots, calls = self.solve(lambda x, i: x - 1.0, [1.0, -3.0], [3.0, 1.0])
+        assert roots.tolist() == [1.0, 1.0]
+        assert calls == []
+
+    def test_nan_inside_a_bracket_is_not_a_root(self):
+        def f(x, i):
+            return np.where(np.abs(x - 0.5) < 0.1, np.nan, x - 0.5)
+
+        roots, _ = self.solve(f, [0.0], [1.0])
+        assert not np.isfinite(roots).any()
+
+    def test_bracket_without_sign_change_is_nan(self):
+        roots, calls = self.solve(lambda x, i: x * x + 1.0, [-1.0], [2.0])
+        assert np.isnan(roots).all() and calls == []
+
+    def test_empty_input(self):
+        roots, calls = self.solve(lambda x, i: x, [], [])
+        assert roots.shape == (0,) and calls == []
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-6, 1e-2])
+    def test_converges_to_xtol(self, xtol):
+        # steep and flat functions, whose roots the interpolation finds slowly
+        centres = np.array([0.1234567, 3.3, 7.77])
+
+        def f(x, i):
+            u = x - centres[i]
+            return np.where(i == 0, np.tanh(50.0 * u), np.where(i == 1, u ** 3, u))
+
+        roots, _ = self.solve(f, np.zeros(3), np.full(3, 10.0), xtol=xtol, rtol=1e-12)
+        assert (np.abs(roots - centres) <= xtol + 1e-12 * centres).all()
+
+
+class TestRootsDropNaN:
+    # a NaN between two scan points of opposite sign makes the bracket's
+    # root NaN, and the residual check drops it
+    @staticmethod
+    def g(theta, r):
+        return np.where(np.abs(r - 5.5) < 0.2, np.nan, (r - 5.5) * (r - 8.5) + 0.0 * theta)
+
+    def test_all_roots(self):
+        assert _all_roots(self.g, np.array([0.3, 0.7]), np.arange(1.0, 11.0)) == [(8.5,)] * 2
+
+    def test_largest_root(self):
+        def g(theta, r):
+            return np.where(np.abs(r - 5.5) < 0.2, np.nan, 5.5 - r + 0.0 * theta)
+
+        assert _largest_roots(g, np.array([0.3]), 100.0) == [()]
+        assert _largest_roots(self.g, np.array([0.3]), 100.0)[0] == pytest.approx((8.5,))
+
+
+class TestArrayPass:
+    """One boundary curve makes a few kernel calls, not a few per angle."""
+
+    THETAS = np.linspace(math.pi / 16, 15 * math.pi / 16, 256)
+
+    @staticmethod
+    def count(monkeypatch, tag, kind, thetas):
+        calls, steps = [], []
+        kernel, solve = regions._axis_extrema, regions._bracketed_roots
+
+        def counted_kernel(tag, theta, L, rho, r):
+            calls.append(np.broadcast(theta, r).size)
+            return kernel(tag, theta, L, rho, r)
+
+        def counted_solve(f, *args, **kwargs):
+            def counted_f(x, i):
+                steps.append(i.size)
+                return f(x, i)
+
+            return solve(counted_f, *args, **kwargs)
+
+        monkeypatch.setattr(regions, "_axis_extrema", counted_kernel)
+        monkeypatch.setattr(regions, "_bracketed_roots", counted_solve)
+        boundary_curve(tag, kind, thetas, L, RHO, 1.0)
+        assert max(calls) <= regions._SCAN_POINTS
+        return len(calls), len(steps)
+
+    @pytest.mark.parametrize("tag", ["x", "y", "z"])
+    def test_smr(self, monkeypatch, tag):
+        calls, _ = self.count(monkeypatch, tag, "smr", self.THETAS)
+        assert calls <= 60
+
+    @pytest.mark.parametrize("tag", ["x", "z"])
+    def test_ncsmr_scans_one_angle_per_call(self, monkeypatch, tag):
+        calls, steps = self.count(monkeypatch, tag, "ncsmr", self.THETAS[::4])
+        assert calls <= 64 + steps + 1
+        assert steps <= 20
+
+
 class TestConcurrency:
     def test_threads_match_serial_and_leave_warning_filters_alone(self):
         thetas = np.linspace(0.0, math.pi, 16)
-        jobs = [("x", "ncsmr"), ("y", "smr")] * 2
+        jobs = [(tag, kind) for kind, tag in CURVES] * 2
 
         def curve(job):
             return boundary_curve(job[0], job[1], thetas, L, RHO, 1.0)
