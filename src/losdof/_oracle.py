@@ -4,9 +4,13 @@ They work from the definitions, not from the closed forms they check:
 extrema come from a dense scan plus zooming-grid refinement, the generic
 bandwidth from a scan of the spatial frequency over the source segment, and
 reference integrals from ``adaptive_gauss``, an adaptive Gauss-Legendre
-quadrature.  ``axis_draw_errors`` is the per-assembly check of the axis
-closed forms that ``verify`` and acceptance criterion 8 share; it takes
-the closed forms as arguments, so this module never imports them.
+quadrature.  ``axis_draw_errors`` checks the axis closed forms and
+``generic_draw_errors`` the generic one, on all assemblies of a batch
+together (``verify`` and acceptance criterion 8 share them); they take the
+closed forms as arguments, so this module never imports them.  Every scan
+runs over all rows of a batch at once: the dense scan in blocks of whole
+rows capped at ``SCAN_BLOCK`` points per call, then one call per zoom for
+every bracket still open.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 
 import numpy as np
 
-from .geometry import AssemblyParams, ReceiveDirection
+from .geometry import AssemblyParams
 
 #: points per bracket and zoom; the bracket shrinks ~32-fold per zoom
 ZOOM_POINTS = 65
@@ -24,10 +28,15 @@ XATOL = 1e-12
 #: zoom cap, for brackets that stop shrinking above XATOL
 MAX_ZOOMS = 60
 
+#: points per ``fn`` call of the dense scan, which takes whole rows; it bounds
+#: the size of the scan's temporaries
+SCAN_BLOCK = 2 ** 14
+
 _STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
-_SIGNS = np.repeat([1.0, -1.0], ZOOM_POINTS)
-_FIRST = np.array([0, ZOOM_POINTS])
-_LAST = _FIRST + ZOOM_POINTS - 1
+_SIGNS = np.array([[1.0], [-1.0]])  # the argmin bracket minimises fn, the argmax one -fn
+#: e_z, e_x and e_y as unit vectors
+_UNIT = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
+_AXIS = np.array(_UNIT["z"])
 
 
 class QuadratureError(RuntimeError):
@@ -103,73 +112,136 @@ def adaptive_gauss(
     return total, err_total
 
 
-def scan_extrema(fn, lo: float, hi: float, samples: int = 10001) -> tuple[float, float]:
-    """(min, max) of ``fn`` on ``[lo, hi]``: dense scan plus zooming-grid refinement.
+def scan_extrema(fn, lo, hi, samples: int = 10001, args=()):
+    """Per-row (min, max) of ``fn`` on ``[lo, hi]``: dense scan plus zooming-grid refinement.
 
-    ``fn`` maps a 1-D array of abscissae to values.  The scan's argmin and
-    argmax are each bracketed by their neighbouring samples; every zoom
-    evaluates ``ZOOM_POINTS`` points per bracket, both brackets in one
-    ``fn`` call, and shrinks each bracket to the neighbours of its best
-    point.  Zooming stops once every bracket is at most ``XATOL`` wide or
-    no longer shrinks at float resolution, or after ``MAX_ZOOMS`` zooms.
-    The result is the best value seen.  A NaN among the zoom points is
-    never taken as best, so the result then falls back to the scan; a NaN
-    at the scan's argmin or argmax is returned as is.
+    ``lo`` and ``hi`` are scalars, for one row and a pair of floats back, or
+    1-D arrays of rows, for a pair of arrays back.  ``fn(x, *a)`` maps a
+    ``(rows, points)`` block of abscissae to values; each ``a`` holds the
+    block's entries of one ``args`` array (indexed by row), with an axis
+    inserted after the first so that it broadcasts against ``x``.
+
+    The dense scan takes ``samples >= 2`` points per row, as
+    ``np.linspace``, in blocks of whole rows of at most ``SCAN_BLOCK``
+    points per ``fn`` call (a longer row goes alone).  Each row's argmin
+    and argmax are bracketed by their neighbouring samples; every zoom
+    evaluates ``ZOOM_POINTS`` points per bracket, all brackets of all open
+    rows in one ``fn`` call, and shrinks each bracket to the neighbours of
+    its best point.  A row stops once both its brackets are at most
+    ``XATOL`` wide or no longer shrink at float resolution, or after
+    ``MAX_ZOOMS`` zooms.  The result is the best value seen.  A NaN among
+    the zoom points is never taken as best, so the result then falls back
+    to the scan; a NaN at the scan's argmin or argmax is returned as is.
     """
-    xs = np.linspace(lo, hi, samples)
-    vals = np.asarray(fn(xs), dtype=float)
-    k = np.array([vals.argmin(), vals.argmax()])
-    best = vals[k] * (1.0, -1.0)  # the rows minimise fn and -fn
-    a = xs[np.maximum(k - 1, 0)]
-    b = xs[np.minimum(k + 1, samples - 1)]
+    lo_rows, hi_rows = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                           np.atleast_1d(np.asarray(hi, dtype=float)))
+    args = [np.asarray(arg) for arg in args]
+    rows = lo_rows.size
+    best, a, b = np.empty((3, rows, 2))
+    per_call = max(1, SCAN_BLOCK // samples)
+    for start in range(0, rows, per_call):
+        block = slice(start, start + per_call)
+        xs = _linspace(lo_rows[block], hi_rows[block], samples)
+        vals = np.asarray(fn(xs, *_take(args, block)), dtype=float)
+        k = np.stack([vals.argmin(axis=1), vals.argmax(axis=1)], axis=1)
+        best[block] = np.take_along_axis(vals, k, 1) * (1.0, -1.0)  # minimise fn and -fn
+        a[block] = np.take_along_axis(xs, np.maximum(k - 1, 0), 1)
+        b[block] = np.take_along_axis(xs, np.minimum(k + 1, samples - 1), 1)
+    open_rows = np.arange(rows)
     for _ in range(MAX_ZOOMS):
-        width = b - a
-        grid = (np.outer(width, _STEPS) + a[:, None]).ravel()
-        grid[_LAST] = b
-        g = np.asarray(fn(grid), dtype=float) * _SIGNS
-        g[np.isnan(g)] = np.inf
-        k = g.reshape(2, ZOOM_POINTS).argmin(axis=1) + _FIRST
-        best = np.minimum(best, g[k])
-        a = grid[np.maximum(k - 1, _FIRST)]
-        b = grid[np.minimum(k + 1, _LAST)]
-        if np.all((b - a <= XATOL) | (b - a >= width)):
+        if not open_rows.size:
             break
-    return float(best[0]), float(-best[1])
+        a_open, b_open = a[open_rows], b[open_rows]
+        width = b_open - a_open
+        grid = width[..., None] * _STEPS + a_open[..., None]
+        grid[..., -1] = b_open
+        g = fn(grid.reshape(open_rows.size, 2 * ZOOM_POINTS), *_take(args, open_rows))
+        g = np.asarray(g, dtype=float).reshape(grid.shape) * _SIGNS
+        g[np.isnan(g)] = np.inf
+        k = g.argmin(axis=2)[..., None]
+        best[open_rows] = np.minimum(best[open_rows], np.take_along_axis(g, k, 2)[..., 0])
+        a_open = np.take_along_axis(grid, np.maximum(k - 1, 0), 2)[..., 0]
+        b_open = np.take_along_axis(grid, np.minimum(k + 1, ZOOM_POINTS - 1), 2)[..., 0]
+        a[open_rows], b[open_rows] = a_open, b_open
+        stopped = (b_open - a_open <= XATOL) | (b_open - a_open >= width)
+        open_rows = open_rows[~stopped.all(axis=1)]
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        return float(best[0, 0]), float(-best[0, 1])
+    return best[:, 0], -best[:, 1]
 
 
-def scan_spread(l: float, v, params: AssemblyParams, samples: int = 10001) -> float:
+def _linspace(lo, hi, n: int):
+    """``np.linspace(lo[i], hi[i], n)`` in row ``i``, bit for bit.
+
+    ``np.linspace`` over array ends changes its arithmetic for every row
+    when one row's step underflows to zero; here only that row does.
+    """
+    delta = (hi - lo)[:, None]
+    steps = np.arange(n, dtype=float)
+    step = delta / (n - 1)
+    grid = steps * step + lo[:, None]
+    tiny = step[:, 0] == 0.0
+    grid[tiny] = steps / (n - 1) * delta[tiny] + lo[tiny, None]
+    grid[:, -1] = hi
+    return grid
+
+
+def _take(args, rows):
+    """The entries ``rows`` of each array in ``args``, as columns against a block."""
+    return [arg[rows, None] for arg in args]
+
+
+def _links(draws):
+    """``(d, c, L)`` arrays of a sequence of assemblies, ``c = r cos(theta)``.
+
+    Per assembly with ``math``, as the one-assembly closed forms take them.
+    """
+    return (np.array([p.d for p in draws]), np.array([p.r * math.cos(p.theta) for p in draws]),
+            np.array([p.L for p in draws]))
+
+
+def scan_spread(l, v, params, samples: int = 10001):
     """Spread of ``<r_hat, v>`` over the source segment, seen from ``l * v``.
 
     ``r_hat`` points from each source point to the receive point; the spread
-    is taken by ``scan_extrema`` over the source parameter.
+    is taken by ``scan_extrema`` over the source parameter.  ``params`` is
+    one ``AssemblyParams``, with a scalar ``l``, a ``(3,)`` ``v`` and a float
+    back, or a sequence of them, with ``l`` and ``v`` one row per assembly
+    (or broadcast) and an array back.
     """
-    v = np.asarray(v, dtype=float)
-    offset = float(l) * v - np.array([-params.d, 0.0, -params.r * math.cos(params.theta)])
+    one = isinstance(params, AssemblyParams)
+    draws = [params] if one else params
+    d, c, L = _links(draws)
+    v = np.broadcast_to(np.asarray(v, dtype=float), (len(draws), 3))
+    l = np.broadcast_to(np.asarray(l, dtype=float), (len(draws),))
+    offset = l[:, None] * v - np.stack([-d, np.zeros_like(d), -c], axis=1)
 
-    def g(t):
-        diff = offset - np.multiply.outer(t, (0.0, 0.0, 1.0))
-        return diff @ v / np.linalg.norm(diff, axis=-1)
+    def g(t, offset, v):
+        diff = offset - t[..., None] * _AXIS
+        return (diff @ np.swapaxes(v, -1, -2))[..., 0] / np.linalg.norm(diff, axis=-1)
 
-    w_lo, w_hi = scan_extrema(g, -0.5 * params.L, 0.5 * params.L, samples)
-    return w_hi - w_lo
+    w_lo, w_hi = scan_extrema(g, -0.5 * L, 0.5 * L, samples, args=(offset, v))
+    spread = w_hi - w_lo
+    return float(spread[0]) if one else spread
 
 
-def axis_draw_errors(
-    params: AssemblyParams, pointwise, extrema, k_number, samples: int, points: int
-) -> tuple[float, float, float]:
-    """Worst errors of the axis closed forms on one assembly.
+def axis_draw_errors(draws, pointwise, axis_extrema, k_exact, samples: int, points: int):
+    """Worst errors of the axis closed forms on each of a sequence of assemblies.
 
-    ``pointwise`` maps each axis tag to its bandwidth ``w(l, params)``;
-    ``extrema(params, direction)`` and ``k_number(params, direction)`` are
-    the closed-form extrema and K report under test.  Returns, over e_z,
-    e_x and e_y:
+    The closed forms under test are arguments: ``pointwise[tag](l, d, c, L)``
+    is the bandwidth of axis ``tag`` at ``l`` on links ``(d, c = r cos θ,
+    L)``, broadcasting; ``axis_extrema(tag, theta, L, rho, r)`` gives
+    ``(w_max, w_min, argmax)`` over arrays of assemblies; and
+    ``k_exact(d, c, L, v, lo, hi)`` the exact K numbers of a batch.  Returns
+    three arrays, one entry per assembly, each the worst over e_z, e_x and
+    e_y of:
 
-    * the largest gap between ``w_max``/``w_min`` and ``scan_extrema`` of
-      the pointwise form over the effective interval (``samples`` points);
-    * the largest excess of ``k_lower`` over ``k_exact`` or of ``k_exact``
-      over ``k_upper`` beyond a slack of 1e-9, which is <= 0 when the
-      sandwich holds;
-    * the largest error of the identities ``w_z(z; θ) = w_z(-z; π-θ)``,
+    * the gap between ``w_max``/``w_min`` and ``scan_extrema`` of the
+      pointwise form over the effective interval (``samples`` points);
+    * the excess of ``k_lower = w_min·|I|`` over ``k_exact`` or of
+      ``k_exact`` over ``k_upper = w_max·|I|`` beyond a slack of 1e-9,
+      which is <= 0 when the sandwich holds;
+    * the error of the identities ``w_z(z; θ) = w_z(-z; π-θ)``,
       ``w_x(x; θ) = w_x(x; π-θ)``, ``w_y(y) = w_y(-y)`` and
       ``w_y(y; θ) = w_y(y; π-θ)`` on grids of ``points`` positions.  The
       compared values are differences of unit-bounded direction cosines
@@ -179,41 +251,64 @@ def axis_draw_errors(
     An error that is NaN (a non-finite value under test) is returned as
     inf, so it fails any bound.
     """
+    links = d, c, L = _links(draws)
+    rho, r, theta = (np.array([getattr(p, name) for p in draws]) for name in ("rho", "r", "theta"))
+    # The effective intervals: the whole array, [-min(d, rho), rho] and the half [0, rho].
+    intervals = {"z": (-rho, rho), "x": (-np.minimum(d, rho), rho), "y": (np.zeros_like(rho), rho)}
     gaps, excesses = [], []
-    for tag in ("z", "x", "y"):
-        direction = ReceiveDirection(tag)
-        summary = extrema(params, direction)
-        lo, hi = summary.effective_interval
-        s_lo, s_hi = scan_extrema(lambda l: pointwise[tag](l, params), lo, hi, samples)
-        gaps += [s_hi - summary.w_max, s_lo - summary.w_min]
-        report = k_number(params, direction)
-        excesses += [
-            report.k_lower - report.k_exact - 1e-9,
-            report.k_exact - report.k_upper - 1e-9,
-        ]
+    for tag, (lo, hi) in intervals.items():
+        w_max, w_min, _ = axis_extrema(tag, theta, L, rho, r)
+        s_lo, s_hi = scan_extrema(pointwise[tag], lo, hi, samples, args=links)
+        gaps += [s_hi - w_max, s_lo - w_min]
+        k = k_exact(d, c, L, np.broadcast_to(_UNIT[tag], (len(draws), 3)), lo, hi)
+        span = hi - lo
+        excesses += [w_min * span - k - 1e-9, k - w_max * span - 1e-9]
 
-    mirrored = AssemblyParams(params.L, params.rho, params.r, math.pi - params.theta)
+    mirrored = [AssemblyParams(p.L, p.rho, p.r, math.pi - p.theta) for p in draws]
+    mirrored = [x[:, None] for x in _links(mirrored)]
+    links = [x[:, None] for x in links]
     w_z, w_x, w_y = pointwise["z"], pointwise["x"], pointwise["y"]
-    zs = np.linspace(-params.rho, params.rho, points)
-    xs = np.linspace(-min(params.d, params.rho), params.rho, points)
-    ys = np.linspace(0.0, params.rho, points)
-    wy = np.asarray(w_y(ys, params))
+    zs = _linspace(-rho, rho, points)
+    xs = _linspace(-np.minimum(d, rho), rho, points)
+    ys = _linspace(np.zeros_like(rho), rho, points)
+    wy = w_y(ys, *links)
     errors = []
     for w1, w2 in (
-        (w_z(zs, params), w_z(-zs, mirrored)),
-        (w_x(xs, params), w_x(xs, mirrored)),
-        (wy, w_y(-ys, params)),
-        (wy, w_y(ys, mirrored)),
+        (w_z(zs, *links), w_z(-zs, *mirrored)),
+        (w_x(xs, *links), w_x(xs, *mirrored)),
+        (wy, w_y(-ys, *links)),
+        (wy, w_y(ys, *mirrored)),
     ):
-        w1 = np.asarray(w1)
-        errors.append(np.abs(w1 - np.asarray(w2)) / np.maximum(np.abs(w1), 1.0))
-    return worst_error(np.abs(gaps)), worst_error(excesses), worst_error(np.concatenate(errors))
+        errors.append(np.abs(w1 - w2) / np.maximum(np.abs(w1), 1.0))
+    return (worst_error(np.abs(gaps), axis=0), worst_error(excesses, axis=0),
+            worst_error(np.concatenate(errors, axis=1), axis=1))
 
 
-def worst_error(errors) -> float:
-    """Largest of ``errors``; NaN, which ``max`` would pass over, reads as inf."""
-    worst = float(np.max(errors))
-    return math.inf if math.isnan(worst) else worst
+def generic_draw_errors(draws, l, v, pointwise, spread, samples: int):
+    """Worst error of the generic bandwidth on each of a sequence of assemblies.
+
+    ``spread(l, v, d, c, L)`` is the generic closed form under test (``v``
+    by components; it returns the spread first), and ``pointwise`` the axis
+    forms as for ``axis_draw_errors``.  Assembly ``i`` is probed at
+    ``l[i]``: along each axis, against the axis form, and along ``v[i]``,
+    against ``scan_spread`` (``samples`` points).  NaN reads as inf.
+    """
+    links = _links(draws)
+    l = np.asarray(l, dtype=float)
+    errors = [np.abs(spread(l, _UNIT[tag], *links)[0] - pointwise[tag](l, *links))
+              for tag in ("z", "x", "y")]
+    v = np.asarray(v, dtype=float)
+    errors.append(np.abs(scan_spread(l, v, draws, samples) - spread(l, v.T, *links)[0]))
+    return worst_error(errors, axis=0)
+
+
+def worst_error(errors, axis=None):
+    """Largest of ``errors`` (along ``axis``); NaN, which ``max`` would pass over, reads as inf."""
+    worst = np.max(errors, axis=axis)
+    if axis is None:
+        worst = float(worst)
+        return math.inf if math.isnan(worst) else worst
+    return np.where(np.isnan(worst), np.inf, worst)
 
 
 def random_params(rng) -> AssemblyParams:

@@ -13,6 +13,7 @@ All values are in wavelength units, so bandwidths lie in ``[0, 2]``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -147,11 +148,38 @@ def bandwidth_y(y, params: AssemblyParams):
     bandwidth purely from the change in radial distance to the source.
     Accepts a scalar or array ``y``.
     """
-    c_near = params.d if params.projection_inside else math.hypot(params.d, params.B)
-    c_far = math.hypot(params.d, params.A)
+    return _checked(_y_bandwidth(y, params.d, params.r * math.cos(params.theta), params.L))
+
+
+def _y_bandwidth(y, d, c, L):
+    """The form of ``bandwidth_y`` at ``y``, elementwise like ``axis_bandwidth``.
+
+    The difference of the direction cosines at ``|y|`` over the transverse
+    distances to the near source end (``d`` when the receive centre
+    projects onto the source) and to the far one.  Those come from
+    ``math.hypot``, one link at a time, as ``bandwidth_y`` has always taken
+    them: ``np.hypot`` differs from it in the last bit on some links.
+    Unchecked: ``y = 0`` on a receive centre on the source segment gives NaN.
+    """
+    axial = np.abs(c)
+    c_far = _math_hypot(d, axial + 0.5 * L)
+    c_near = np.where(axial <= 0.5 * L, d, _math_hypot(d, axial - 0.5 * L))
     ay = np.abs(np.asarray(y, dtype=float))
-    out = direction_cosine(ay, c_near) - direction_cosine(ay, c_far)
-    return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(all="ignore"):
+        return _dc(ay, c_near) - _dc(ay, c_far)
+
+
+def _math_hypot(x, y):
+    """``math.hypot`` elementwise, as floats."""
+    return np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
+
+
+#: The pointwise form of each axis direction, ``w(l, d, c, L)`` over links.
+_AXIS_FORMS = {
+    "z": functools.partial(axis_bandwidth, "z"),
+    "x": functools.partial(axis_bandwidth, "x"),
+    "y": _y_bandwidth,
+}
 
 
 def bandwidth_generic(l, v_hat, params: AssemblyParams):

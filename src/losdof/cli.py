@@ -37,9 +37,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._oracle import axis_draw_errors, random_params, scan_spread, worst_error
-from .bandwidth import (
+from ._oracle import axis_draw_errors, generic_draw_errors, random_params, worst_error
+from .bandwidth import (  # bandwidth_generic and extrema unused; bench/tracing.py patches them here
+    _AXIS_FORMS,
     FarFieldWarning,
+    _axis_extrema,
+    _spread,
     bandwidth_generic,
     bandwidth_x,
     bandwidth_y,
@@ -55,7 +58,7 @@ from .channel import (
     singular_spectrum,
     usable_count,
 )
-from .dof import k_number
+from .dof import k_exact, k_number
 from .geometry import AssemblyParams, ReceiveDirection, ScenePlacement
 from .regions import boundary_curve
 from .scenarios import GroundGrid, k_map, kmap_rows
@@ -262,34 +265,24 @@ def cmd_scenario_map(o) -> int:
 
 def cmd_verify(o) -> int:
     rng = np.random.default_rng(o.seed)
-    pointwise = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}
-
-    worst_extrema = 0.0
-    sandwich_errors = [-math.inf]
-    worst_symmetry = 0.0
-    generic_errors = [0.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FarFieldWarning)
-        for _ in range(o.draws):
-            params = random_params(rng)
-            extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
-                params, pointwise, extrema, k_number, samples=4001, points=11
-            )
-            worst_extrema = max(worst_extrema, extrema_err)
-            sandwich_errors.append(sandwich_err)
-            worst_symmetry = max(worst_symmetry, symmetry_err)
-            l_probe = float(rng.uniform(0.1, 1.0)) * params.rho
-            for tag, v in (("z", (0, 0, 1)), ("x", (1, 0, 0)), ("y", (0, 1, 0))):
-                closed = float(pointwise[tag](l_probe, params))
-                brute = bandwidth_generic(l_probe, v, params)
-                generic_errors.append(abs(brute - closed))
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            closed = bandwidth_generic(l_probe, v, params)
-            brute = scan_spread(l_probe, v, params, samples=4001)
-            generic_errors.append(abs(brute - closed))
-    worst_sandwich = worst_error(sandwich_errors)
-    worst_generic = worst_error(generic_errors)
+    draws, probes, directions = [], [], []
+    for _ in range(o.draws):
+        params = random_params(rng)
+        draws.append(params)
+        probes.append(float(rng.uniform(0.1, 1.0)) * params.rho)
+        v = rng.normal(size=3)
+        directions.append(v / np.linalg.norm(v))
+    extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
+        draws, _AXIS_FORMS, _axis_extrema, k_exact, samples=4001, points=11
+    )
+    generic_err = generic_draw_errors(
+        draws, probes, np.reshape(directions, (-1, 3)), _AXIS_FORMS, _spread, samples=4001
+    )
+    # The starting values report a run without draws.
+    worst_extrema = worst_error(np.r_[0.0, extrema_err])
+    worst_sandwich = worst_error(np.r_[-math.inf, sandwich_err])
+    worst_symmetry = worst_error(np.r_[0.0, symmetry_err])
+    worst_generic = worst_error(np.r_[0.0, generic_err])
 
     checks = [
         ("closed-form extrema vs dense-scan oracle", worst_extrema, 1e-8),

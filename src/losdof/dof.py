@@ -79,9 +79,10 @@ def _kernel(d, c, L, v, lo, hi):
     v = np.asarray(v, dtype=float)
     shape = v.shape[:-1]
     # One link's arguments become numpy scalars, whose arithmetic is cheaper than 0-d arrays'.
-    d, c, lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), shape) if shape else np.float64(x)
-                    for x in (d, c, lo, hi))
-    L = float(L)
+    d, c, L, lo, hi = (
+        np.broadcast_to(np.asarray(x, dtype=float), shape) if shape else np.float64(x)
+        for x in (d, c, L, lo, hi)
+    )
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     # Leading axis: the two source ends, at axial offsets u0.  With
     # k = d*v_x + v_z*u0 and c2 = d**2 + u0**2 the distance from l*v to an end
@@ -113,7 +114,7 @@ def _kernel(d, c, L, v, lo, hi):
         dist = np.sqrt(edges * edges + 2.0 * k * edges + c2)
         ends = width * (mid2 + 2.0 * k) / (dist[..., :-1] + dist[..., 1:])
         g = _frequencies(0.5 * mid2, (vx[..., None], vy[..., None], vz[..., None]),
-                         d[..., None], c[..., None], L)[0]
+                         d[..., None], c[..., None], L[..., None])[0]
         # argmax/argmin take the first of equal candidates, so a tie picks an end.
         candidates = np.array(g)
         top, bottom = candidates.argmax(axis=0), candidates.argmin(axis=0)
@@ -129,14 +130,14 @@ def _kernel(d, c, L, v, lo, hi):
 def k_exact(d, c, L, v, lo, hi):
     """Exact K numbers of a batch of links in one array pass.
 
-    Link ``i`` has a source of length ``L`` whose axis lies at distance
+    Link ``i`` has a source of length ``L[i]`` whose axis lies at distance
     ``d[i]`` from the receive centre, with axial offset ``c[i] = r cos(theta)``
     of the receive centre from the source centre, and a receive array along
     the unit vector ``v[i]`` (the last axis of ``v`` holds the components)
-    over ``[lo[i], hi[i]]``; the other arguments broadcast to the links'
-    shape ``v.shape[:-1]``, and a ``(3,)`` vector gives one link and a
-    scalar K.  A link whose receive array runs through a source point can
-    come out NaN; the kernel never warns.
+    over ``[lo[i], hi[i]]``; ``d``, ``c``, ``L``, ``lo`` and ``hi`` broadcast
+    to the links' shape ``v.shape[:-1]``, and a ``(3,)`` vector gives one
+    link and a scalar K.  A link whose receive array runs through a source
+    point can come out NaN; the kernel never warns.
     """
     return _kernel(d, c, L, v, lo, hi)[0]
 

@@ -7,17 +7,28 @@ trapezoid rule, and the world-frame K number from a direct two-dimensional
 scan over source and receive positions in world coordinates.  The region
 boundary reference checks the root solver, not the closed forms: it scans
 each angle on its own and refines each bracket by ``scipy.optimize.brentq``
-on the same extrema kernel.
+on the same extrema kernel.  The ``verify`` reference runs that command's
+checks one assembly at a time, through the one-assembly closed forms.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.optimize import brentq
 
-from losdof.bandwidth import _axis_extrema
+from losdof import AssemblyParams, FarFieldWarning, ReceiveDirection
+from losdof.bandwidth import (
+    _axis_extrema,
+    bandwidth_generic,
+    bandwidth_x,
+    bandwidth_y,
+    bandwidth_z,
+    extrema,
+)
+from losdof.dof import k_number
 from losdof.regions import RESIDUAL_TOL, _SCAN_POINTS, r0_threshold
 
 from losdof._oracle import (  # noqa: F401
@@ -25,6 +36,7 @@ from losdof._oracle import (  # noqa: F401
     random_params,
     scan_extrema,
     scan_spread,
+    worst_error,
 )
 
 
@@ -132,3 +144,80 @@ def reference_radii(tag: str, kind: str, theta: float, L: float, rho: float,
     if root is None or abs(g(root)) > RESIDUAL_TOL:
         return ()
     return (root,)
+
+
+def _reference_axis_errors(params: AssemblyParams, samples: int, points: int):
+    """``verify``'s axis checks on one assembly: extrema gap, sandwich excess, symmetry error."""
+    pointwise = {"z": bandwidth_z, "x": bandwidth_x, "y": bandwidth_y}
+    gaps, excesses = [], []
+    for tag in ("z", "x", "y"):
+        direction = ReceiveDirection(tag)
+        summary = extrema(params, direction)
+        lo, hi = summary.effective_interval
+        s_lo, s_hi = scan_extrema(lambda l: pointwise[tag](l, params), lo, hi, samples)
+        gaps += [s_hi - summary.w_max, s_lo - summary.w_min]
+        report = k_number(params, direction)
+        excesses += [
+            report.k_lower - report.k_exact - 1e-9,
+            report.k_exact - report.k_upper - 1e-9,
+        ]
+
+    mirrored = AssemblyParams(params.L, params.rho, params.r, math.pi - params.theta)
+    zs = np.linspace(-params.rho, params.rho, points)
+    xs = np.linspace(-min(params.d, params.rho), params.rho, points)
+    ys = np.linspace(0.0, params.rho, points)
+    wy = bandwidth_y(ys, params)
+    errors = []
+    for w1, w2 in (
+        (bandwidth_z(zs, params), bandwidth_z(-zs, mirrored)),
+        (bandwidth_x(xs, params), bandwidth_x(xs, mirrored)),
+        (wy, bandwidth_y(-ys, params)),
+        (wy, bandwidth_y(ys, mirrored)),
+    ):
+        errors.append(np.abs(w1 - w2) / np.maximum(np.abs(w1), 1.0))
+    return worst_error(np.abs(gaps)), worst_error(excesses), worst_error(np.concatenate(errors))
+
+
+def reference_verify(draws: int, seed: int) -> str:
+    """The output of ``losdof verify --draws draws --seed seed``, one assembly at a time.
+
+    The loop the command ran before it checked all draws together: per
+    assembly, ``extrema``, ``k_number`` and the pointwise forms
+    ``bandwidth_z/x/y`` and ``bandwidth_generic``, with one-row
+    ``scan_extrema`` and ``scan_spread`` calls.
+    """
+    rng = np.random.default_rng(seed)
+    pointwise = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}
+    worst_extrema = 0.0
+    sandwich_errors = [-math.inf]
+    worst_symmetry = 0.0
+    generic_errors = [0.0]
+    for _ in range(draws):
+        params = random_params(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FarFieldWarning)
+            extrema_err, sandwich_err, symmetry_err = _reference_axis_errors(params, 4001, 11)
+        worst_extrema = max(worst_extrema, extrema_err)
+        sandwich_errors.append(sandwich_err)
+        worst_symmetry = max(worst_symmetry, symmetry_err)
+        l_probe = float(rng.uniform(0.1, 1.0)) * params.rho
+        for tag, v in (("z", (0, 0, 1)), ("x", (1, 0, 0)), ("y", (0, 1, 0))):
+            closed = float(pointwise[tag](l_probe, params))
+            brute = bandwidth_generic(l_probe, v, params)
+            generic_errors.append(abs(brute - closed))
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        closed = bandwidth_generic(l_probe, v, params)
+        brute = scan_spread(l_probe, v, params, samples=4001)
+        generic_errors.append(abs(brute - closed))
+    checks = [
+        ("closed-form extrema vs dense-scan oracle", worst_extrema, 1e-8),
+        ("k_lower <= k_exact <= k_upper sandwich", worst_error(sandwich_errors), 0.0),
+        ("bandwidth symmetry identities (relative)", worst_symmetry, 1e-12),
+        ("generic-direction evaluator vs axis closed forms and scan",
+         worst_error(generic_errors), 1e-9),
+    ]
+    return "".join(
+        f"{'PASS' if worst <= bound else 'FAIL'}  {name}: worst {worst:.3e} (bound {bound:.0e})\n"
+        for name, worst, bound in checks
+    )

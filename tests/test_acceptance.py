@@ -15,11 +15,7 @@ from losdof import (
     ReceiveDirection,
     ScenePlacement,
     arctan_star,
-    bandwidth_x,
-    bandwidth_y,
-    bandwidth_z,
     build_channel,
-    extrema,
     horizontal_scene_to_local,
     k_number,
     ncsmr_boundary,
@@ -33,6 +29,9 @@ from losdof import (
     usable_count,
     vertical_scene_to_local,
 )
+from losdof.bandwidth import _AXIS_FORMS, _axis_extrema
+from losdof.dof import k_exact
+
 from helpers import axis_draw_errors, random_params
 
 pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
@@ -183,18 +182,13 @@ def test_criterion_7_nyquist_flattening():
 
 def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(2024)
-    pointwise = {"z": bandwidth_z, "x": bandwidth_x, "y": bandwidth_y}
-    worst_extrema = 0.0
-    sandwich_ok = True
-    worst_symmetry = 0.0
-    for _ in range(500):
-        p = random_params(rng)
-        extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
-            p, pointwise, extrema, k_number, samples=10001, points=9
-        )
-        worst_extrema = max(worst_extrema, extrema_err)
-        sandwich_ok = sandwich_ok and sandwich_err <= 0.0
-        worst_symmetry = max(worst_symmetry, symmetry_err)
+    draws = [random_params(rng) for _ in range(500)]
+    extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
+        draws, _AXIS_FORMS, _axis_extrema, k_exact, samples=10001, points=9
+    )
+    worst_extrema = float(extrema_err.max())
+    sandwich_ok = bool(np.all(sandwich_err <= 0.0))
+    worst_symmetry = float(symmetry_err.max())
     ok = worst_extrema <= 1e-8 and sandwich_ok and worst_symmetry <= 1e-12
     assert report(
         8, "oracle equivalence over 500 draws", ok,

@@ -21,7 +21,7 @@ from losdof import (
     extrema_z,
     rz_boresight,
 )
-from losdof.bandwidth import _axis_extrema
+from losdof.bandwidth import _axis_extrema, _y_bandwidth
 
 from helpers import random_params, scan_extrema, scan_spread
 
@@ -69,6 +69,31 @@ class TestPointwiseForms:
         expected = 1.0 - 300.0 / math.sqrt(300.0 ** 2 + 200.0 ** 2)
         assert bandwidth_x(0.0, p) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.16795, abs=5e-6)
+
+    def test_wy_distances_are_math_hypot(self):
+        # bandwidth_y (and the array form verify scans) takes its transverse
+        # distances from math.hypot; np.hypot differs in the last bit on some
+        # draws, and the pinned profile bytes would move with it
+        rng = np.random.default_rng(12)
+        draws = [random_params(rng) for _ in range(2000)]
+        moved = 0
+        for p in draws:
+            ys = np.linspace(-p.rho, p.rho, 5)
+            near = p.d if p.projection_inside else math.hypot(p.d, p.B)
+            far = math.hypot(p.d, p.A)
+            expected = direction_cosine(np.abs(ys), near) - direction_cosine(np.abs(ys), far)
+            np.testing.assert_array_equal(bandwidth_y(ys, p), expected)
+            near = p.d if p.projection_inside else np.hypot(p.d, p.B)
+            moved += np.any(expected != direction_cosine(np.abs(ys), near)
+                            - direction_cosine(np.abs(ys), np.hypot(p.d, p.A)))
+        assert moved
+        links = [np.array([getattr(p, name) for p in draws])[:, None] for name in ("d", "L")]
+        c = np.array([p.r * math.cos(p.theta) for p in draws])[:, None]
+        ys = np.linspace(-1.0, 1.0, 5) * links[0]
+        np.testing.assert_array_equal(
+            _y_bandwidth(ys, links[0], c, links[1]),
+            [bandwidth_y(y, p) for y, p in zip(ys, draws)],
+        )
 
     def test_wy_zero_at_centre(self):
         p = AssemblyParams(400.0, 20.0, 100.0, math.pi / 2)

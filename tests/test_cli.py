@@ -1,11 +1,12 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from losdof.cli import main
+
+from helpers import reference_verify
 
 
 def run(args):
@@ -422,19 +423,26 @@ class TestVerify:
         sandwich = next(line for line in out.splitlines() if "sandwich" in line)
         assert float(sandwich.split("worst ")[1].split()[0]) < 0.0
 
-    @pytest.mark.parametrize("name", ["k_number", "bandwidth_generic"])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_matches_the_per_draw_reference(self, capsys, seed):
+        code = run(["verify", "--draws", 25, "--seed", seed])
+        assert capsys.readouterr().out == reference_verify(25, seed)
+        assert code == 0
+
+    @pytest.mark.parametrize("name", ["k_exact", "_spread"])
     def test_nan_fails(self, monkeypatch, capsys, name):
         import losdof.cli as cli
 
         real = getattr(cli, name)
 
-        def nan_k(params, direction):
-            return replace(real(params, direction), k_exact=math.nan)
+        def nan_k(*args):
+            return np.full_like(real(*args), math.nan)
 
-        def nan_generic(l, v, params):
-            return math.nan
+        def nan_spread(*args):
+            spread, distance = real(*args)
+            return np.full_like(spread, math.nan), distance
 
-        monkeypatch.setattr(cli, name, nan_k if name == "k_number" else nan_generic)
+        monkeypatch.setattr(cli, name, nan_k if name == "k_exact" else nan_spread)
         assert run(["verify", "--draws", 2, "--seed", 1]) == 3
         out = capsys.readouterr().out
         assert out.count("FAIL") == 1 and "worst inf" in out

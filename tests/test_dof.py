@@ -196,6 +196,19 @@ class TestKNumber:
         assert batch.shape == (40,)
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
+    def test_batch_with_a_length_per_link(self):
+        rng = np.random.default_rng(9)
+        links = [random_params(rng) for _ in range(60)]
+        vs = rng.normal(size=(60, 3))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        vs[:3] = np.eye(3)  # axis links among them
+        args = [np.array([p.d for p in links]), np.array([p.r * math.cos(p.theta) for p in links]),
+                np.array([p.L for p in links]), vs, np.array([-p.rho for p in links]),
+                np.array([p.rho for p in links])]
+        batch = k_exact(*args)
+        single = [k_exact(*link) for link in zip(*args)]
+        np.testing.assert_array_equal(batch, single)
+
 
 class TestBoundsAndLinear:
     def test_boresight_upper_bound_exact(self):
