@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .bandwidth import (
     BandwidthSummary,
-    FarFieldWarning,
     bandwidth_generic,
     bandwidth_x,
     bandwidth_y,
@@ -35,7 +34,7 @@ from .channel import (
     singular_spectrum,
     usable_count,
 )
-from .dof import KNumberReport, k_bounds, k_linear, k_number, k_parallel
+from .dof import FarFieldWarning, KNumberReport, k_bounds, k_linear, k_number, k_parallel
 from .geometry import (
     AssemblyParams,
     LocalFrame,

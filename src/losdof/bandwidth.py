@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .geometry import AssemblyParams, ReceiveDirection
 
 __all__ = [
     "BandwidthSummary",
-    "FarFieldWarning",
     "direction_cosine",
     "bandwidth_z",
     "bandwidth_x",
@@ -39,27 +37,6 @@ __all__ = [
     "extrema",
     "effective_interval",
 ]
-
-
-class FarFieldWarning(UserWarning):
-    """Geometry outside the validity regime of the far-field field model."""
-
-
-#: centre distance (in wavelengths) below which results are flagged as
-#: potentially unphysical.
-FAR_FIELD_MIN_R = 10.0
-
-
-def _warn_near_field(params: AssemblyParams) -> bool:
-    if params.r < FAR_FIELD_MIN_R:
-        warnings.warn(
-            f"centre distance r = {params.r:g} wavelengths is below "
-            f"{FAR_FIELD_MIN_R:g}; far-field results may not reflect physical reality",
-            FarFieldWarning,
-            stacklevel=3,
-        )
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -156,22 +133,16 @@ def _y_bandwidth(y, d, c, L):
 
     The difference of the direction cosines at ``|y|`` over the transverse
     distances to the near source end (``d`` when the receive centre
-    projects onto the source) and to the far one.  Those come from
-    ``math.hypot``, one link at a time, as ``bandwidth_y`` has always taken
-    them: ``np.hypot`` differs from it in the last bit on some links.
-    Unchecked: ``y = 0`` on a receive centre on the source segment gives NaN.
+    projects onto the source) and to the far one, taken as the e_y branch
+    of ``_axis_extrema`` takes them.  Unchecked: ``y = 0`` on a receive
+    centre on the source segment gives NaN.
     """
     axial = np.abs(c)
-    c_far = _math_hypot(d, axial + 0.5 * L)
-    c_near = np.where(axial <= 0.5 * L, d, _math_hypot(d, axial - 0.5 * L))
+    c_far = np.hypot(d, axial + 0.5 * L)
+    c_near = np.where(axial <= 0.5 * L, d, np.hypot(d, axial - 0.5 * L))
     ay = np.abs(np.asarray(y, dtype=float))
     with np.errstate(all="ignore"):
         return _dc(ay, c_near) - _dc(ay, c_far)
-
-
-def _math_hypot(x, y):
-    """``math.hypot`` elementwise, as floats."""
-    return np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
 
 
 #: The pointwise form of each axis direction, ``w(l, d, c, L)`` over links.
@@ -275,9 +246,11 @@ def _stationary(far, near):
     ``t**2 = (far*near)**(4/3) / (far**(2/3) + near**(2/3))``, written
     without the cancellation and overflow of the equivalent
     ``(far**(2/3) - near**(2/3)) / (near**(-4/3) - far**(-4/3))``.
+    ``np.power`` keeps scalars on the array loop; a numpy scalar's ``**``
+    calls libm's ``pow``, which can differ in the last bit.
     """
-    a = far ** (2.0 / 3.0)
-    b = near ** (2.0 / 3.0)
+    a = np.power(far, 2.0 / 3.0)
+    b = np.power(near, 2.0 / 3.0)
     return a * b / np.sqrt(a + b)
 
 
@@ -286,18 +259,14 @@ def _axis_extrema(tag: str, theta, L: float, rho: float, r):
 
     The closed forms behind ``extrema_z/x/y``, with every branch evaluated
     and chosen elementwise (the branches those docstrings describe), so one
-    call covers a whole grid of polar angles and centre distances.  Branches
-    not taken may divide by zero; the kernel never warns.
+    call covers a whole grid of polar angles and centre distances; one
+    angle and distance give the bits of their entry in such a grid.
+    Branches not taken may divide by zero; the kernel never warns.
     """
     # A scalar r becomes a numpy scalar, whose arithmetic is cheaper than a 0-d array's.
     r = np.asarray(r, dtype=float)[()]
-    if isinstance(theta, float):
-        # One angle: math's cos and sin give numpy's floats at a fraction of the call cost.
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        axial = r * abs(cos_t)
-    else:
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        axial = r * np.abs(cos_t)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    axial = r * np.abs(cos_t)
     d = r * sin_t
     A = axial + 0.5 * L
     B = axial - 0.5 * L
@@ -329,13 +298,24 @@ def _axis_extrema(tag: str, theta, L: float, rho: float, r):
     return w_max, w_min, argmax
 
 
-def _summary(tag: str, params: AssemblyParams, interval: tuple[float, float]) -> BandwidthSummary:
+def extrema(params: AssemblyParams, direction: ReceiveDirection) -> BandwidthSummary:
+    """Closed-form bandwidth extrema of an axis direction over its effective interval.
+
+    One row of ``_axis_extrema``; ``extrema_z``, ``extrema_x`` and
+    ``extrema_y`` describe the forms of each direction.
+    """
+    if not direction.is_axis:
+        raise ValueError(
+            "closed-form extrema exist only for axis directions; "
+            "evaluate bandwidth_generic pointwise for generic orientations"
+        )
     w_max, w_min, argmax = (
-        float(v) for v in _axis_extrema(tag, params.theta, params.L, params.rho, params.r)
+        float(v) for v in _axis_extrema(direction.tag, params.theta, params.L, params.rho, params.r)
     )
     if math.isnan(w_max - w_min):
         raise ValueError("indeterminate bandwidth: a receive-array end coincides with a source end")
-    return BandwidthSummary(w_max, w_min, w_max - w_min, argmax, interval)
+    return BandwidthSummary(w_max, w_min, w_max - w_min, argmax,
+                            effective_interval(params, direction))
 
 
 def extrema_z(params: AssemblyParams) -> BandwidthSummary:
@@ -345,8 +325,7 @@ def extrema_z(params: AssemblyParams) -> BandwidthSummary:
     ``z0 = -r*cos(theta)`` (the projection of the source centre); the closed
     form branches on whether ``z0`` falls inside the array.
     """
-    _warn_near_field(params)
-    return _summary("z", params, (-params.rho, params.rho))
+    return extrema(params, ReceiveDirection.z())
 
 
 def extrema_x(params: AssemblyParams) -> BandwidthSummary:
@@ -357,8 +336,7 @@ def extrema_x(params: AssemblyParams) -> BandwidthSummary:
     ``x0``, the minimum is the smaller of the two interval-end values when
     ``x0`` is interior.
     """
-    _warn_near_field(params)
-    return _summary("x", params, (-min(params.d, params.rho), params.rho))
+    return extrema(params, ReceiveDirection.x())
 
 
 def extrema_y(params: AssemblyParams) -> BandwidthSummary:
@@ -371,18 +349,4 @@ def extrema_y(params: AssemblyParams) -> BandwidthSummary:
     the stationary point itself falls inside the interval and is used
     instead.
     """
-    _warn_near_field(params)
-    return _summary("y", params, (0.0, params.rho))
-
-
-_EXTREMA = {"x": extrema_x, "y": extrema_y, "z": extrema_z}
-
-
-def extrema(params: AssemblyParams, direction: ReceiveDirection) -> BandwidthSummary:
-    """Dispatch to the closed-form extrema of an axis direction."""
-    if not direction.is_axis:
-        raise ValueError(
-            "closed-form extrema exist only for axis directions; "
-            "evaluate bandwidth_generic pointwise for generic orientations"
-        )
-    return _EXTREMA[direction.tag](params)
+    return extrema(params, ReceiveDirection.y())

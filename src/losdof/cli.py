@@ -31,7 +31,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ from . import __version__
 from ._oracle import axis_draw_errors, generic_draw_errors, random_params, worst_error
 from .bandwidth import (  # bandwidth_generic and extrema unused; bench/tracing.py patches them here
     _AXIS_FORMS,
-    FarFieldWarning,
     _axis_extrema,
     _spread,
     bandwidth_generic,
@@ -59,7 +57,7 @@ from .channel import (
     usable_count,
 )
 from .dof import k_exact, k_number
-from .geometry import AssemblyParams, ReceiveDirection, ScenePlacement
+from .geometry import FAR_FIELD_MIN_R, AssemblyParams, ReceiveDirection, ScenePlacement
 from .regions import boundary_curve
 from .scenarios import GroundGrid, k_map, kmap_rows
 
@@ -188,10 +186,11 @@ def cmd_k_number(o) -> int:
         raise ValueError("missing required option --v-hat")
     else:
         direction = ReceiveDirection.generic(o.v_hat)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = k_number(params, direction)
-    notes = sorted({str(w.message) for w in caught if issubclass(w.category, FarFieldWarning)})
+    report = k_number(params, direction)
+    notes = [] if params.far_field else [
+        f"centre distance r = {params.r:g} wavelengths is below "
+        f"{FAR_FIELD_MIN_R:g}; far-field results may not reflect physical reality"
+    ]
     payload = {key: getattr(report, key) for key in ("k_exact", "k_upper", "k_lower", "k_linear")}
     # quadrature_abs_err is deprecated and always 0.0 (K is exact); it stays
     # one more release for readers of the JSON.
@@ -264,6 +263,8 @@ def cmd_scenario_map(o) -> int:
 
 
 def cmd_verify(o) -> int:
+    if o.draws < 0:
+        raise ValueError(f"draws must be non-negative, got {o.draws}")
     rng = np.random.default_rng(o.seed)
     draws, probes, directions = [], [], []
     for _ in range(o.draws):

@@ -22,10 +22,8 @@ from scipy.special import ellipe, ellipeinc, ellipk, ellipkinc
 from ._oracle import QuadratureError  # noqa: F401
 from .bandwidth import (  # bandwidth_generic/x/y/z unused; bench/tracing.py patches them here
     BandwidthSummary,
-    FarFieldWarning,
     _frequencies,
     _spread,
-    _warn_near_field,
     bandwidth_generic,
     bandwidth_x,
     bandwidth_y,
@@ -36,6 +34,7 @@ from .bandwidth import (  # bandwidth_generic/x/y/z unused; bench/tracing.py pat
 from .geometry import AssemblyParams, ReceiveDirection
 
 __all__ = [
+    "FarFieldWarning",
     "KNumberReport",
     "k_number",
     "k_exact",
@@ -43,6 +42,10 @@ __all__ = [
     "k_linear",
     "k_parallel",
 ]
+
+
+class FarFieldWarning(UserWarning):
+    """A formula applied outside its validity regime (``k_parallel``)."""
 
 
 # Fixed Gauss-Legendre nodes at which generic bounds sample each piece.
@@ -185,7 +188,6 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
         lower, upper = _bounds(summary)
         linear = _linear(summary)
     else:
-        _warn_near_field(params)
         edges = np.unique(edges)
         half = 0.5 * np.diff(edges)[:, None]
         nodes = (edges[:-1, None] + half * (1.0 + _NODES)).ravel()

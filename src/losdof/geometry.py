@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FAR_FIELD_MIN_R",
     "AssemblyParams",
     "ReceiveDirection",
     "ScenePlacement",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+
+#: centre distance (in wavelengths) below which the far-field model behind
+#: the closed forms may not reflect physical reality.
+FAR_FIELD_MIN_R = 10.0
 
 
 def _as_unit_tuple(v) -> tuple[float, float, float]:
@@ -125,6 +130,15 @@ class AssemblyParams:
         this branch; the closed forms are continuous across it.
         """
         return self.r * abs(math.cos(self.theta)) <= 0.5 * self.L
+
+    @property
+    def far_field(self) -> bool:
+        """True when the centre distance is at least ``FAR_FIELD_MIN_R`` wavelengths.
+
+        Results for a geometry outside this regime are still computed; the
+        flag says whether the far-field model behind them applies.
+        """
+        return self.r >= FAR_FIELD_MIN_R
 
 
 @dataclass(frozen=True)

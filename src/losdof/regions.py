@@ -16,9 +16,10 @@ treating the distance ``r`` as the unknown at fixed polar angle.
 scan grids of many angles go to the closed-form extrema kernel together, and
 one vectorised bracketed solve (Chandrupatla's method) refines every bracket
 of every angle on the same kernel.  ``smr_boundary``, ``smr_boundary_y`` and
-``ncsmr_boundary`` are its one-angle calls.  The solvers set no warning
-filter: the kernel never warns, so probes below ten wavelengths raise no
-``FarFieldWarning`` and the module is safe to call from several threads.
+``ncsmr_boundary`` are its one-angle calls.  Nothing here warns or sets a
+warning filter, probes below ten wavelengths included, so the module is
+safe to call from several threads.  Every solver checks ``L``, ``rho`` and
+the threshold (all positive) before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -254,12 +255,11 @@ def _all_roots(g, theta: np.ndarray, grid: np.ndarray) -> list[tuple]:
 
 def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: float):
     """Boundary radii of one kind and axis direction at every polar angle in ``theta``."""
+    _check_positive(L=L, rho=rho, **{"delta_k" if kind == "ncsmr" else "K0": threshold})
     theta = np.asarray(theta, dtype=float)
     if kind == "ncsmr":
-        _check_positive(delta_k=threshold)
         g = _excess(_check_zx(tag), L, rho, threshold / rho, spread=True)
     elif tag == "y":
-        _check_positive(K0=threshold)
         g = _excess("y", L, rho, 2.0 * threshold / rho, spread=False)
     else:
         g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)

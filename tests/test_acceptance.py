@@ -34,8 +34,6 @@ from losdof.dof import k_exact
 
 from helpers import axis_draw_errors, random_params
 
-pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
-
 L, RHO = 400.0, 20.0
 R0_APPROX = 16000.0
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from losdof import (
     AssemblyParams,
-    FarFieldWarning,
     ReceiveDirection,
     bandwidth_generic,
     bandwidth_x,
@@ -21,11 +21,9 @@ from losdof import (
     extrema_z,
     rz_boresight,
 )
-from losdof.bandwidth import _axis_extrema, _y_bandwidth
+from losdof.bandwidth import _axis_extrema
 
 from helpers import random_params, scan_extrema, scan_spread
-
-pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
 
 PARAM_STRATEGY = dict(
     L=st.floats(10.0, 1e3),
@@ -69,31 +67,6 @@ class TestPointwiseForms:
         expected = 1.0 - 300.0 / math.sqrt(300.0 ** 2 + 200.0 ** 2)
         assert bandwidth_x(0.0, p) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.16795, abs=5e-6)
-
-    def test_wy_distances_are_math_hypot(self):
-        # bandwidth_y (and the array form verify scans) takes its transverse
-        # distances from math.hypot; np.hypot differs in the last bit on some
-        # draws, and the pinned profile bytes would move with it
-        rng = np.random.default_rng(12)
-        draws = [random_params(rng) for _ in range(2000)]
-        moved = 0
-        for p in draws:
-            ys = np.linspace(-p.rho, p.rho, 5)
-            near = p.d if p.projection_inside else math.hypot(p.d, p.B)
-            far = math.hypot(p.d, p.A)
-            expected = direction_cosine(np.abs(ys), near) - direction_cosine(np.abs(ys), far)
-            np.testing.assert_array_equal(bandwidth_y(ys, p), expected)
-            near = p.d if p.projection_inside else np.hypot(p.d, p.B)
-            moved += np.any(expected != direction_cosine(np.abs(ys), near)
-                            - direction_cosine(np.abs(ys), np.hypot(p.d, p.A)))
-        assert moved
-        links = [np.array([getattr(p, name) for p in draws])[:, None] for name in ("d", "L")]
-        c = np.array([p.r * math.cos(p.theta) for p in draws])[:, None]
-        ys = np.linspace(-1.0, 1.0, 5) * links[0]
-        np.testing.assert_array_equal(
-            _y_bandwidth(ys, links[0], c, links[1]),
-            [bandwidth_y(y, p) for y, p in zip(ys, draws)],
-        )
 
     def test_wy_zero_at_centre(self):
         p = AssemblyParams(400.0, 20.0, 100.0, math.pi / 2)
@@ -385,11 +358,9 @@ def test_axis_extrema_kernel_over_r(tag, L, rho, theta):
         r = np.sort(np.r_[r, edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9])])
     w_max, w_min, argmax = _axis_extrema(tag, theta, L, rho, r)
     for i, ri in enumerate(r):
-        s_max, s_min, s_arg = _axis_extrema(tag, theta, L, rho, float(ri))
-        np.testing.assert_allclose([w_max[i], w_min[i]], [s_max, s_min], rtol=0, atol=1e-15)
-        # the stationary point is ill-conditioned: numpy's array and scalar
-        # power loops may differ by an ulp, which moves x0 and y* slightly
-        assert argmax[i] == pytest.approx(s_arg, rel=1e-10, abs=1e-10)
+        # one distance gives the bits of its entry in the array call
+        np.testing.assert_array_equal([w_max[i], w_min[i], argmax[i]],
+                                      _axis_extrema(tag, theta, L, rho, float(ri)))
         p = AssemblyParams(L, rho, ri, theta)
         if ri < 10.0 or (p.d == 0.0 and ri <= 0.5 * L + rho):
             # near field, or a receive array that meets the source segment
@@ -410,21 +381,50 @@ def test_axis_extrema_kernel_over_theta(tag, L, rho):
     assert w_max.shape == (theta.size, r.size)
     for i, th in enumerate(theta):
         s_max, s_min, s_arg = _axis_extrema(tag, float(th), L, rho, r)
-        np.testing.assert_allclose(w_max[i], s_max, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(w_min[i], s_min, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(argmax[i], s_arg, rtol=1e-10, atol=1e-10)
+        np.testing.assert_array_equal(w_max[i], s_max)
+        np.testing.assert_array_equal(w_min[i], s_min)
+        np.testing.assert_array_equal(argmax[i], s_arg)
+
+
+class TestOneArithmetic:
+    """A one-link call gives the bits of its row in a batch call."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(0)
+        return [random_params(rng) for _ in range(20_000)]
+
+    @pytest.mark.parametrize("tag", "zxy")
+    def test_extrema_equal_their_batch_row(self, draws, tag):
+        theta, L, rho, r = (np.array([getattr(p, name) for p in draws])
+                            for name in ("theta", "L", "rho", "r"))
+        batch = np.column_stack(_axis_extrema(tag, theta, L, rho, r))
+        one = {"z": extrema_z, "x": extrema_x, "y": extrema_y}[tag]
+        rows = np.array([(s.w_max, s.w_min, s.argmax_location) for s in map(one, draws)])
+        assert np.count_nonzero((rows != batch).any(axis=1)) == 0
+
+    def test_wy_at_its_argmax_is_w_max(self, draws):
+        # the pointwise form and the extrema take the same transverse distances
+        summaries = [extrema_y(p) for p in draws]
+        moved = [p for p, s in zip(draws, summaries)
+                 if bandwidth_y(s.argmax_location, p) != s.w_max]
+        assert moved == []
 
 
 class TestFarFieldFlag:
-    def test_warns_below_ten_wavelengths(self):
-        p = AssemblyParams(40.0, 2.0, 5.0, math.pi / 2)
-        with pytest.warns(FarFieldWarning):
+    """Far-field validity is a property of the assembly; the extrema never warn."""
+
+    def extrema_silently(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             extrema_z(p)
+
+    def test_near_field_below_ten_wavelengths(self):
+        p = AssemblyParams(40.0, 2.0, 5.0, math.pi / 2)
+        assert not p.far_field
+        self.extrema_silently(p)
 
     def test_silent_at_ten(self):
-        import warnings as w
-
         p = AssemblyParams(40.0, 2.0, 10.0, math.pi / 2)
-        with w.catch_warnings():
-            w.simplefilter("error", FarFieldWarning)
-            extrema_z(p)
+        assert p.far_field
+        self.extrema_silently(p)

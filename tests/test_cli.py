@@ -266,6 +266,30 @@ class TestRegionBoundaryEdgeCases:
                                (2.945243112740431, 6160.611274431067, 0)])
 
 
+class TestRegionBoundaryInputChecks:
+    """L, rho and the threshold are checked for every kind and direction first (default smr)."""
+
+    @pytest.mark.parametrize("args", [
+        # K0 = 0 on e_x used to give a radius of 67108864000 at broadside
+        ["-L", 400, "--rho", 20, "--direction", "x", "--threshold", 0,
+         "--theta-min", math.pi / 2, "--theta-max", math.pi / 2, "--theta-steps", 1],
+        ["-L", 400, "--rho", 20, "--direction", "z", "--threshold", 0],
+        ["-L", 400, "--rho", 20, "--direction", "x", "--threshold", -1],
+        ["-L", 400, "--rho", 20, "--direction", "z", "--threshold", -1],
+        # an empty polar-angle grid skips the solve, not the checks
+        ["-L", 400, "--rho", -2, "--direction", "z", "--theta-steps", 0],
+        ["-L", 0, "--rho", 20, "--direction", "x", "--kind", "ncsmr", "--theta-steps", 0],
+        ["-L", 400, "--rho", 20, "--direction", "y", "--threshold", -1, "--theta-steps", 0],
+    ], ids=["x-K0-zero", "z-K0-zero", "x-K0-negative", "z-K0-negative", "rho-negative-no-angles",
+            "L-zero-no-angles", "y-K0-negative-no-angles"])
+    def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "b.csv"
+        assert run(["region-boundary", *args, "--output", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
+
+
 class TestChannelSvdCommand:
     def test_case_study_sidecar(self, tmp_path):
         out = tmp_path / "svd.csv"
@@ -422,6 +446,11 @@ class TestVerify:
         # the sandwich line reports its real margin, about -1e-9 when it holds
         sandwich = next(line for line in out.splitlines() if "sandwich" in line)
         assert float(sandwich.split("worst ")[1].split()[0]) < 0.0
+
+    def test_negative_draws_exit_2(self, capsys):
+        assert run(["verify", "--draws", -3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "draws" in captured.err
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_matches_the_per_draw_reference(self, capsys, seed):

@@ -24,8 +24,6 @@ from losdof.dof import _piece_edges, k_exact
 
 from helpers import random_params, trapezoid_k
 
-pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
-
 Z = ReceiveDirection.z()
 X = ReceiveDirection.x()
 Y = ReceiveDirection.y()

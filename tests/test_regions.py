@@ -28,8 +28,6 @@ from losdof.regions import RESIDUAL_TOL, _all_roots, _bracketed_roots, _largest_
 
 from helpers import reference_excess, reference_radii
 
-pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
-
 L, RHO = 400.0, 20.0
 
 

@@ -21,8 +21,6 @@ from losdof.scenarios import EXCLUSION_RADIUS, k_map_point, kmap_rows
 
 from helpers import world_k_number
 
-pytestmark = pytest.mark.filterwarnings("ignore::losdof.FarFieldWarning")
-
 VERTICAL = ScenePlacement("vertical", 400.0, 400.0, (0.0, 0.0), 40.0)
 HORIZONTAL = ScenePlacement("horizontal", 400.0, 200.0, (0.0, 0.0), 40.0)
 
