@@ -12,14 +12,17 @@ bandwidth extrema with the full-array interval convention, i.e. they solve
                                       non-constant-bandwidth by nature)
 
 treating the distance ``r`` as the unknown at fixed polar angle.
-``boundary_curve`` solves a whole polar-angle grid in one array pass: the
-scan grids of many angles go to the closed-form extrema kernel together, and
-one vectorised bracketed solve (Chandrupatla's method) refines every bracket
-of every angle on the same kernel.  ``smr_boundary``, ``smr_boundary_y`` and
-``ncsmr_boundary`` are its one-angle calls.  Nothing here warns or sets a
-warning filter, probes below ten wavelengths included, so the module is
-safe to call from several threads.  Every solver checks ``L``, ``rho`` and
-the threshold (all positive) before it evaluates anything.
+``boundary_curve`` solves a whole polar-angle grid in one array pass, with
+one body for both kinds: the descending radius rows of many angles go to the
+closed-form extrema kernel together, each zero or sign change is a bracket,
+and one vectorised bracketed solve (Chandrupatla's method) refines every
+bracket of every angle on the same kernel.  The kinds differ only in their
+grid and in keeping a row's outermost root or all of them.  ``smr_boundary``,
+``smr_boundary_y`` and ``ncsmr_boundary`` are its one-angle calls.  Nothing
+here warns or sets a warning filter, probes below ten wavelengths included,
+so the module is safe to call from several threads.  Every solver checks
+that ``L``, ``rho`` and the threshold are positive and finite before it
+evaluates anything.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ def fraunhofer(L: float) -> float:
 
 def _check_positive(**values: float):
     for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _excess(tag: str, L: float, rho: float, target: float, spread: bool):
@@ -183,14 +186,45 @@ def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
     return roots
 
 
-def _scan_hi(L: float, rho: float) -> float:
-    # The thresholds of interest sit below the boresight maximum; start the
-    # search comfortably beyond it.
-    return 4.0 * r0_threshold(L, rho).approx
+def _roots(g, theta: np.ndarray, grid: np.ndarray, outermost: bool) -> list[tuple]:
+    """Zeros of ``g`` per angle: scan each row of ``grid``, bracket, one bracketed solve.
+
+    Row ``i`` holds descending radii for ``theta[i]``; NaN pads or masks it.
+    Every zero on a scan point (a bracket with ``fa == 0``) and every sign
+    change is a bracket, its smaller radius the end ``a``; ``outermost``
+    keeps only a row's first from the top.  Roots whose residual exceeds
+    ``RESIDUAL_TOL`` are dropped; each angle gets its roots in increasing order.
+    """
+    width = grid.shape[1]
+    per_call = max(1, _SCAN_POINTS // width)
+    brackets = []
+    for start in range(0, len(theta), per_call):
+        block = slice(start, start + per_call)
+        values = g(theta[block, None], grid[block])
+        hit = values == 0.0
+        hit[:, 1:] |= values[:, 1:] * values[:, :-1] < 0
+        if outermost:
+            lo = hit.argmax(axis=1)
+            rows = np.flatnonzero(hit[np.arange(len(hit)), lo])
+            at = rows * width + lo[rows]
+        else:
+            at = np.flatnonzero(hit)
+            rows = at // width
+        # Flat indices into the block; a zero in the top column is its own bracket.
+        up = at - (at % width > 0)
+        radii, values = grid[block].ravel(), values.ravel()
+        brackets.append((start + rows, radii[at], radii[up], values[at], values[up]))
+    rows, a, b, fa, fb = (np.concatenate(v) for v in zip(*brackets))
+    roots = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
+    keep = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
+    rows, roots = rows[keep], roots[keep].tolist()
+    # Rows come in order, the roots of each from the top down.
+    ends = np.searchsorted(rows, np.arange(len(theta) + 1)).tolist()
+    return [tuple(reversed(roots[i:j])) for i, j in zip(ends, ends[1:])]
 
 
-def _largest_roots(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> list[tuple]:
-    """Outermost zero of ``g`` per angle: geometric grids downward, then one bracketed solve."""
+def _smr_grid(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> np.ndarray:
+    """Geometric descent per angle from a pushed-out start; NaN at or below ``r_floor``."""
     hi = np.full(len(theta), r_hi)
     g_hi = _evaluate(g, theta, hi)
     # Where the target is still exceeded out here, push the start further out.
@@ -200,61 +234,22 @@ def _largest_roots(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> 
         g_hi[push] = _evaluate(g, theta[push], hi[push])
         push = push[(g_hi[push] > 0) & (hi[push] < 1e12)]
     # Rows hi, hi/step, (hi/step)/step, ... by repeated division, down to
-    # r_floor; each block of rows, padded to its longest, is one kernel call.
+    # r_floor; radii at or below it (the padding included) become NaN.
     step = 2.0 ** 0.25
-    count = np.ceil(np.log(hi / r_floor) / math.log(step)).astype(int) + 2
-    per_call = max(1, _SCAN_POINTS // count.max())
-    brackets = []
-    for start in range(0, len(theta), per_call):
-        block = slice(start, start + per_call)
-        steps = np.full((len(hi[block]), count[block].max()), step)
-        grid = np.divide.accumulate(np.column_stack([hi[block], steps]), axis=1)
-        values = np.column_stack([g_hi[block], g(theta[block, None], grid[:, 1:])])
-        # First zero or sign change from the top of each row.
-        hit = values == 0.0
-        hit[:, 1:] |= values[:, 1:] * values[:, :-1] < 0
-        hit &= grid > r_floor
-        first = hit.argmax(axis=1)
-        rows = np.flatnonzero(hit[np.arange(len(hit)), first])
-        lo, up = first[rows], np.maximum(first[rows] - 1, 0)
-        brackets.append((start + rows, grid[rows, lo], grid[rows, up],
-                         values[rows, lo], values[rows, up]))
-    rows, a, b, fa, fb = (np.concatenate(v) for v in zip(*brackets))
-    roots = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
-    found = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
-    radii = [()] * len(theta)
-    for row, root in zip(rows[found].tolist(), roots[found].tolist()):
-        radii[row] = (root,)
-    return radii
-
-
-def _all_roots(g, theta: np.ndarray, grid: np.ndarray) -> list[tuple]:
-    """Every zero of ``g`` per angle on ``grid``: sign changes, then one bracketed solve."""
-    zero_rows, zeros, rows, cols, fa, fb = [], [], [], [], [], []
-    for row, angle in enumerate(theta):
-        values = g(angle, grid)
-        at = np.flatnonzero(values == 0.0)
-        zero_rows.append(np.full(at.size, row))
-        zeros.append(grid[at])
-        at = np.flatnonzero(values[:-1] * values[1:] < 0)
-        rows.append(np.full(at.size, row))
-        cols.append(at)
-        fa.append(values[at])
-        fb.append(values[at + 1])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    solved = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r),
-                              grid[cols], grid[cols + 1], np.concatenate(fa), np.concatenate(fb))
-    rows = np.concatenate(zero_rows + [rows])
-    roots = np.concatenate(zeros + [solved])
-    keep = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
-    rows, roots = rows[keep], roots[keep]
-    order = np.lexsort((roots, rows))
-    splits = np.searchsorted(rows[order], np.arange(1, len(theta)))
-    return [tuple(part.tolist()) for part in np.split(roots[order], splits)]
+    count = np.ceil(np.log(hi.max() / r_floor) / math.log(step)).astype(int)
+    grid = np.full((len(hi), count + 1), step)
+    grid[:, 0] = hi
+    np.divide.accumulate(grid, axis=1, out=grid)
+    grid[grid <= r_floor] = np.nan
+    return grid
 
 
 def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: float):
     """Boundary radii of one kind and axis direction at every polar angle in ``theta``."""
+    if kind not in ("smr", "ncsmr"):
+        raise ValueError(f"kind must be 'smr' or 'ncsmr', got {kind!r}")
+    if tag == "y" and kind != "smr":
+        raise ValueError("the e_y region is wholly non-constant-bandwidth; use kind='smr'")
     _check_positive(L=L, rho=rho, **{"delta_k" if kind == "ncsmr" else "K0": threshold})
     theta = np.asarray(theta, dtype=float)
     if kind == "ncsmr":
@@ -265,9 +260,14 @@ def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: fl
         g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)
     if not theta.size:
         return []
+    # The thresholds of interest sit below the boresight maximum; scan down
+    # from comfortably beyond it.
+    r_hi = 4.0 * r0_threshold(L, rho).approx
     if kind == "ncsmr":
-        return _all_roots(g, theta, np.geomspace(1.0, _scan_hi(L, rho), _SCAN_POINTS))
-    return _largest_roots(g, theta, _scan_hi(L, rho))
+        # A contiguous row keeps the kernel on its fast loops.
+        radii = np.ascontiguousarray(np.geomspace(1.0, r_hi, _SCAN_POINTS)[::-1])
+        return _roots(g, theta, np.broadcast_to(radii, (theta.size, radii.size)), False)
+    return _roots(g, theta, _smr_grid(g, theta, r_hi), True)
 
 
 def smr_boundary(
@@ -303,11 +303,14 @@ def ncsmr_boundary(
     """All non-constant-bandwidth boundary radii at polar angle ``theta``.
 
     Solves ``w_range(r) = delta_k / rho`` on a log-spaced grid of
-    ``_SCAN_POINTS`` (2,048) radii over ``[1, 4*R0]``; several crossings can
-    exist for one angle (the array may enter and leave the region as the
-    distance shrinks).  Roots are returned in increasing order; a crossing
-    whose residual exceeds ``RESIDUAL_TOL`` is a jump of ``w_range``, not a
-    root, and is dropped.  The one-angle call of ``boundary_curve``.
+    ``_SCAN_POINTS`` (2,048) radii over ``[1, 4*R0]``, scanned from the top
+    down by the same body as the multiplexing boundary but keeping every
+    bracket; several crossings can exist for one angle (the array may enter
+    and leave the region as the distance shrinks).  Roots are returned in
+    increasing order; a crossing whose residual exceeds ``RESIDUAL_TOL`` is a
+    jump of ``w_range``, not a root, and is dropped.  ``L``, ``rho`` and
+    ``delta_k`` must be positive and finite.  The one-angle call of
+    ``boundary_curve``.
     """
     return list(_curve_radii(_check_zx(direction), "ncsmr", [theta], L, rho, delta_k)[0])
 
@@ -359,10 +362,6 @@ def boundary_curve(
     non-constant-bandwidth.
     """
     tag = direction.tag if isinstance(direction, ReceiveDirection) else str(direction)
-    if kind not in ("smr", "ncsmr"):
-        raise ValueError(f"kind must be 'smr' or 'ncsmr', got {kind!r}")
-    if tag == "y" and kind != "smr":
-        raise ValueError("the e_y region is wholly non-constant-bandwidth; use kind='smr'")
     thetas = [float(theta) for theta in theta_grid]
     radii = _curve_radii(tag, kind, thetas, L, rho, threshold)
     return RegionCurve(tag, kind, float(threshold), list(zip(thetas, radii)))

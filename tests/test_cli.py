@@ -280,14 +280,23 @@ class TestRegionBoundaryInputChecks:
         ["-L", 400, "--rho", -2, "--direction", "z", "--theta-steps", 0],
         ["-L", 0, "--rho", 20, "--direction", "x", "--kind", "ncsmr", "--theta-steps", 0],
         ["-L", 400, "--rho", 20, "--direction", "y", "--threshold", -1, "--theta-steps", 0],
+        # infinite input used to warn and then fail in the scan, or exit 0 with no rows
+        ["-L", "inf", "--rho", 20, "--direction", "z"],
+        ["-L", "inf", "--rho", 20, "--direction", "x", "--kind", "ncsmr"],
+        ["-L", 400, "--rho", "inf", "--direction", "z"],
+        ["-L", 400, "--rho", "inf", "--direction", "z", "--kind", "ncsmr"],
+        ["-L", 400, "--rho", 20, "--direction", "x", "--threshold", "inf"],
+        ["-L", 400, "--rho", 20, "--direction", "z", "--kind", "ncsmr", "--threshold", "inf"],
     ], ids=["x-K0-zero", "z-K0-zero", "x-K0-negative", "z-K0-negative", "rho-negative-no-angles",
-            "L-zero-no-angles", "y-K0-negative-no-angles"])
+            "L-zero-no-angles", "y-K0-negative-no-angles", "L-inf-smr", "L-inf-ncsmr",
+            "rho-inf-smr", "rho-inf-ncsmr", "threshold-inf-smr", "threshold-inf-ncsmr"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "b.csv"
         assert run(["region-boundary", *args, "--output", out]) == 2
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and "must be positive" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestChannelSvdCommand:

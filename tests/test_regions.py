@@ -24,7 +24,7 @@ from losdof import (
     smr_boundary_y,
 )
 from losdof import regions
-from losdof.regions import RESIDUAL_TOL, _all_roots, _bracketed_roots, _largest_roots
+from losdof.regions import RESIDUAL_TOL, _bracketed_roots, _roots, _smr_grid
 
 from helpers import reference_excess, reference_radii
 
@@ -349,6 +349,7 @@ class TestBracketedRoots:
         assert (np.abs(roots - centres) <= xtol + 1e-12 * centres).all()
 
 
+@pytest.mark.parametrize("outermost", [False, True], ids=["all", "outermost"])
 class TestRootsDropNaN:
     # a NaN between two scan points of opposite sign makes the bracket's
     # root NaN, and the residual check drops it
@@ -356,15 +357,32 @@ class TestRootsDropNaN:
     def g(theta, r):
         return np.where(np.abs(r - 5.5) < 0.2, np.nan, (r - 5.5) * (r - 8.5) + 0.0 * theta)
 
-    def test_all_roots(self):
-        assert _all_roots(self.g, np.array([0.3, 0.7]), np.arange(1.0, 11.0)) == [(8.5,)] * 2
+    @staticmethod
+    def descending(grid, rows):
+        return np.broadcast_to(grid[::-1], (rows, grid.size))
 
-    def test_largest_root(self):
+    def test_fixed_grid(self, outermost):
+        theta = np.array([0.3, 0.7])
+        grid = self.descending(np.arange(1.0, 11.0), 2)
+        assert _roots(self.g, theta, grid, outermost) == [(8.5,)] * 2
+
+    def test_descent_grid(self, outermost):
         def g(theta, r):
             return np.where(np.abs(r - 5.5) < 0.2, np.nan, 5.5 - r + 0.0 * theta)
 
-        assert _largest_roots(g, np.array([0.3]), 100.0) == [()]
-        assert _largest_roots(self.g, np.array([0.3]), 100.0)[0] == pytest.approx((8.5,))
+        def solve(fn):
+            theta = np.array([0.3])
+            return _roots(fn, theta, _smr_grid(fn, theta, 100.0), outermost)
+
+        assert solve(g) == [()]
+        assert solve(self.g)[0] == pytest.approx((8.5,))
+
+    def test_zero_on_a_scan_point_is_one_root(self, outermost):
+        def g(theta, r):
+            return r - 8.0 + 0.0 * theta
+
+        grid = self.descending(np.arange(1.0, 11.0), 1)
+        assert _roots(g, np.array([0.3]), grid, outermost) == [(8.0,)]
 
 
 class TestArrayPass:
