@@ -194,5 +194,5 @@ def channel_to_csv(H, path) -> None:
     stacked[:, 1::2] = H.imag
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in stacked:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in stacked.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

@@ -26,10 +26,11 @@ are radians unless ``--degrees`` is given (outputs stay in radians).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -59,7 +60,7 @@ from .channel import (
 from .dof import k_exact, k_number
 from .geometry import FAR_FIELD_MIN_R, AssemblyParams, ReceiveDirection, ScenePlacement
 from .regions import boundary_curve
-from .scenarios import GroundGrid, k_map, kmap_rows
+from .scenarios import GroundGrid, k_map
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -127,31 +128,30 @@ def resolve(args: argparse.Namespace, options) -> argparse.Namespace:
 
 def _wavelength(text) -> float:
     value = float(text)
-    if not value > 0:
-        raise ValueError("wavelength must be positive")
+    if not 0 < value < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {value!r}")
     return value
 
 
-@contextlib.contextmanager
-def _open_out(path):
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout for None or ``-``.
+
+    An existing file is overwritten in place and then cut to the new length:
+    truncating to zero first makes ext4 flush the file on close.
+    """
     if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+        sys.stdout.write(text)
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with _open_out(path) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
-
-
-def _write_json(path, payload: dict) -> None:
-    with _open_out(path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length ``columns`` (arrays, lists or ranges) under ``header``."""
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    _write_text(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _assembly(o) -> AssemblyParams:
@@ -166,8 +166,7 @@ def cmd_bandwidth_profile(o) -> int:
     ls = np.linspace(lo, hi, o.samples)
     fn = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}[o.direction]
     ws = np.asarray(fn(ls, params), dtype=float)
-    rows = ((l * o.wavelength, w / o.wavelength) for l, w in zip(ls, ws))
-    _write_csv(o.output, "l,w", rows)
+    _write_csv(o.output, "l,w", (ls * o.wavelength, ws / o.wavelength))
     return EXIT_OK
 
 
@@ -194,37 +193,33 @@ def cmd_k_number(o) -> int:
     payload = {key: getattr(report, key) for key in ("k_exact", "k_upper", "k_lower", "k_linear")}
     # quadrature_abs_err is deprecated and always 0.0 (K is exact); it stays
     # one more release for readers of the JSON.
-    _write_json(o.output, {**payload, "quadrature_abs_err": 0.0, "warnings": notes})
+    payload = {**payload, "quadrature_abs_err": 0.0, "warnings": notes}
+    _write_text(o.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_region_boundary(o) -> int:
     grid = np.linspace(o.theta_min, o.theta_max, o.theta_steps)
     curve = boundary_curve(o.direction, o.kind, grid, o.source_length, o.rho, o.threshold)
-    rows = []
-    for theta, radii in curve.samples:
-        for index, radius in enumerate(radii):
-            rows.append((float(theta), radius * o.wavelength, index))
-    _write_csv(o.output, "theta,radius,root_index", rows)
+    rows = [(theta, radius * o.wavelength, index)
+            for theta, radii in curve.samples for index, radius in enumerate(radii)]
+    _write_csv(o.output, "theta,radius,root_index", zip(*rows))
     return EXIT_OK
 
 
 def cmd_channel_svd(o) -> int:
     spec = ChannelSpec(_assembly(o), getattr(ReceiveDirection, o.direction)(), o.delta_s, o.delta_r)
     H = build_channel(spec)
-    if o.matrix_csv:
-        channel_to_csv(H, o.matrix_csv)
     spectrum = singular_spectrum(H)
     maxnorm = normalized_spectrum(spectrum, "max")
     sumnorm = normalized_spectrum(spectrum, "sum")
-    rows = (
-        (i, float(s), float(mn), float(sn))
-        for i, (s, mn, sn) in enumerate(zip(spectrum.sigmas, maxnorm, sumnorm))
-    )
-    _write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", rows)
     sidecar = {"n_t": spec.n_tx, "n_r": spec.n_rx,
                "usable_count": usable_count(spectrum, o.threshold)}
-    _write_json(_sidecar_path(o.output), sidecar)
+    if o.matrix_csv:
+        channel_to_csv(H, o.matrix_csv)
+    columns = (range(len(spectrum.sigmas)), spectrum.sigmas, maxnorm, sumnorm)
+    _write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", columns)
+    _write_text(_sidecar_path(o.output), json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -241,8 +236,8 @@ def cmd_scenario_map(o) -> int:
     policy = o.phi if o.policy == "fixed" else o.policy
     grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
     result = k_map(scene, policy, grid, workers=o.threads)
-    rows = ((x * o.wavelength, y * o.wavelength, k) for x, y, k in kmap_rows(result))
-    _write_csv(o.output, "x,y,k", rows)
+    xs, ys = np.meshgrid(grid.xs * o.wavelength, grid.ys * o.wavelength, indexing="ij")
+    _write_csv(o.output, "x,y,k", (xs.ravel(), ys.ravel(), result.values.ravel()))
     envelope = {
         "scene": {
             key: getattr(scene, key)
@@ -254,7 +249,7 @@ def cmd_scenario_map(o) -> int:
         "rows": int(grid.x_range[2] * grid.y_range[2]),
         "status_counts": result.status_counts,
     }
-    _write_json(_sidecar_path(o.output), envelope)
+    _write_text(_sidecar_path(o.output), json.dumps(envelope, indent=2) + "\n")
     return EXIT_OK
 
 

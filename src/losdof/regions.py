@@ -236,7 +236,7 @@ def _smr_grid(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> np.nd
     # Rows hi, hi/step, (hi/step)/step, ... by repeated division, down to
     # r_floor; radii at or below it (the padding included) become NaN.
     step = 2.0 ** 0.25
-    count = np.ceil(np.log(hi.max() / r_floor) / math.log(step)).astype(int)
+    count = math.ceil((math.log(hi.max()) - math.log(r_floor)) / math.log(step))
     grid = np.full((len(hi), count + 1), step)
     grid[:, 0] = hi
     np.divide.accumulate(grid, axis=1, out=grid)
@@ -258,11 +258,14 @@ def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: fl
         g = _excess("y", L, rho, 2.0 * threshold / rho, spread=False)
     else:
         g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)
-    if not theta.size:
-        return []
     # The thresholds of interest sit below the boresight maximum; scan down
     # from comfortably beyond it.
     r_hi = 4.0 * r0_threshold(L, rho).approx
+    if not r_hi < math.inf:
+        raise ValueError(f"L * rho is too large: the scan start 8*rho*L overflows "
+                         f"(L = {L!r}, rho = {rho!r})")
+    if not theta.size:
+        return []
     if kind == "ncsmr":
         # A contiguous row keeps the kernel on its fast loops.
         radii = np.ascontiguousarray(np.geomspace(1.0, r_hi, _SCAN_POINTS)[::-1])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -298,6 +299,27 @@ class TestRegionBoundaryInputChecks:
         assert captured.out == "" and "must be positive" in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["smr", "ncsmr"])
+    def test_scan_start_overflow_exits_2(self, tmp_path, capsys, kind):
+        # 8*rho*L overflows although L and rho are finite; this used to warn
+        # and then fail in the scan (smr) or exit 0 with no rows (ncsmr)
+        out = tmp_path / "b.csv"
+        assert run(["region-boundary", "-L", 1e300, "--rho", 1e10, "--direction", "z",
+                    "--kind", kind, "--output", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_huge_finite_scan_start_solves(self, tmp_path):
+        # 8*rho*L = 8e302 is finite, but divided by the scan floor it is not
+        out = tmp_path / "b.csv"
+        assert run(["region-boundary", "-L", 1e300, "--rho", 100, "--direction", "z",
+                    "--theta-min", math.pi / 2, "--theta-max", math.pi / 2,
+                    "--theta-steps", 1, "--output", out]) == 0
+        _, radius, _ = out.read_text().splitlines()[1].split(",")
+        assert float(radius) == pytest.approx(2e302, rel=1e-4)
+
 
 class TestChannelSvdCommand:
     def test_case_study_sidecar(self, tmp_path):
@@ -438,6 +460,95 @@ class TestConfigFile:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["bandwidth-profile", "--config", tmp_path / "nope.json",
                     "--direction", "z"]) == 2
+
+
+class TestWavelengthCheck:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["k-number", *ASSEMBLY, "--direction", "z"],
+        ["region-boundary", "-L", 400, "--rho", 20, "--direction", "z"],
+    ], ids=["k-number", "region-boundary"])
+    def test_non_finite_wavelength_exits_2(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        assert run([*command, "--wavelength", value, "--output", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: wavelength must be positive and finite, got {value}\n"
+
+
+class TestOutputWriter:
+    """Each output is formatted whole, then written over any old file in place."""
+
+    PROFILE = ["bandwidth-profile", *ASSEMBLY, "--direction", "y", "--samples", 3]
+    PROFILE_CSV = b"l,w\n0.0,0.0\n10.0,0.0055904815825671\n20.0,0.011134132961602802\n"
+
+    def test_stdout(self, capsys):
+        assert run([*self.PROFILE, "--output", "-"]) == 0
+        assert capsys.readouterr().out.encode() == self.PROFILE_CSV
+
+    def test_rewrite_over_longer_file(self, tmp_path):
+        out = tmp_path / "w.csv"
+        out.write_bytes(b"x" * 10_000)
+        assert run([*self.PROFILE, "--output", out]) == 0
+        assert out.read_bytes() == self.PROFILE_CSV
+
+    def test_dev_null(self):
+        assert run([*self.PROFILE, "--output", os.devnull]) == 0
+
+    def test_argument_error_leaves_old_file(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        out.write_bytes(b"old contents\n")
+        assert run(["bandwidth-profile", *ASSEMBLY, "--direction", "y", "--samples", 1,
+                    "--output", out]) == 2
+        assert out.read_bytes() == b"old contents\n"
+        assert "samples must be at least 2" in capsys.readouterr().err
+
+    def test_channel_svd_bytes(self, tmp_path):
+        out = tmp_path / "svd.csv"
+        assert run(["channel-svd", "-L", 4, "--rho", 1, "-r", 10, "--delta-s", 1,
+                    "--delta-r", 0.5, "--output", out]) == 0
+        assert out.read_text() == (
+            "index,sigma,sigma_maxnorm,sigma_sumnorm\n"
+            "0,0.4197403460821714,1.0,0.563697777326805\n"
+            "1,0.25216938601860694,0.6007747131585974,0.33865537048165023\n"
+            "2,0.06507665806764112,0.15504027352877162,0.08739585758430846\n"
+            "3,0.007296865891382425,0.017384237563748368,0.009799456075206108\n"
+            "4,0.0003362243871220493,0.0008010294703865031,0.00045153853203013964\n"
+        )
+        assert (tmp_path / "svd.json").read_text() == (
+            '{\n  "n_t": 5,\n  "n_r": 5,\n  "usable_count": 2\n}\n'
+        )
+
+    def test_region_boundary_bytes(self, tmp_path):
+        # one endfire ncsmr angle with two roots; root_index is an integer column
+        out = tmp_path / "b.csv"
+        assert run(["region-boundary", "-L", 400, "--rho", 20, "--direction", "x",
+                    "--kind", "ncsmr", "--theta-min", 0, "--theta-max", 0,
+                    "--theta-steps", 1, "--output", out]) == 0
+        assert out.read_text() == (
+            "theta,radius,root_index\n"
+            "0.0,199.49968710876348,0\n"
+            "0.0,446.3172876215531,1\n"
+        )
+
+    def test_scenario_map_bytes(self, tmp_path):
+        # the point below a low source is excluded and written as nan
+        out = tmp_path / "map.csv"
+        assert run(["scenario-map", "--mode", "horizontal", "-L", 40, "--source-height", 0.5,
+                    "--receive-length", 4, "--x-min", -2, "--x-max", 2, "--x-steps", 3,
+                    "--y-min", 0, "--y-max", 2, "--y-steps", 2, "--output", out]) == 0
+        assert out.read_text() == (
+            "x,y,k\n"
+            "-2.0,0.0,7.997397174733486\n"
+            "-2.0,2.0,7.956113135990131\n"
+            "0.0,0.0,nan\n"
+            "0.0,2.0,7.957417723981829\n"
+            "2.0,0.0,7.997397174733486\n"
+            "2.0,2.0,7.956113135990131\n"
+        )
+        envelope = json.loads((tmp_path / "map.json").read_text())
+        assert envelope["status_counts"] == {"ok": 5, "excluded": 1, "failed": 0}
 
 
 class TestExitCodes:
