@@ -194,9 +194,10 @@ def _take(args, rows):
 def _links(draws):
     """``(d, c, L)`` arrays of a sequence of assemblies, ``c = r cos(theta)``.
 
-    Per assembly with ``math``, as the one-assembly closed forms take them.
+    Per assembly from ``AssemblyParams.d`` and ``.c``, as the one-assembly
+    closed forms take them.
     """
-    return (np.array([p.d for p in draws]), np.array([p.r * math.cos(p.theta) for p in draws]),
+    return (np.array([p.d for p in draws]), np.array([p.c for p in draws]),
             np.array([p.L for p in draws]))
 
 

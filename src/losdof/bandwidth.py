@@ -3,10 +3,12 @@
 The local spatial bandwidth at a receive point is the spread (max - min), in
 cycles per wavelength, of the spatial frequencies ``<r_hat, v_hat>`` of the
 wave components arriving from every point of the source segment.  This module
-provides closed forms for the three receiving axes, their extrema over the
-effective integration interval, and the closed-form spread for arbitrary
-receive orientations, whose extremes lie at the source ends or at the single
-stationary point of the spatial frequency along the source.
+provides closed forms for the three receiving axes (``axis_bandwidth`` states
+each once), their extrema over the effective integration interval (those
+forms evaluated at the closed-form argmax and at the interval ends), and the
+closed-form spread for arbitrary receive orientations, whose extremes lie at
+the source ends or at the single stationary point of the spatial frequency
+along the source.
 
 All values are in wavelength units, so bandwidths lie in ``[0, 2]``.
 """
@@ -78,7 +80,7 @@ def bandwidth_z(z, params: AssemblyParams):
     positive whenever the receive point is off the source axis.  Accepts a
     scalar or array ``z``.
     """
-    return _checked(axis_bandwidth("z", z, params.d, params.r * math.cos(params.theta), params.L))
+    return _checked(axis_bandwidth("z", z, params.d, params.c, params.L))
 
 
 def bandwidth_x(x, params: AssemblyParams):
@@ -87,29 +89,25 @@ def bandwidth_x(x, params: AssemblyParams):
     Valid for ``x + d >= 0``, which holds on the effective interval
     ``[-min(d, rho), rho]``.  Accepts a scalar or array ``x``.
     """
-    return _checked(axis_bandwidth("x", x, params.d, params.r * math.cos(params.theta), params.L))
+    return _checked(axis_bandwidth("x", x, params.d, params.c, params.L))
 
 
 def axis_bandwidth(tag: str, l, d, c, L):
-    """Closed-form bandwidth at ``l`` on the e_z (``tag="z"``) or e_x array, elementwise.
+    """Closed-form bandwidth at ``l`` on the e_z, e_x or e_y array (``tag``), elementwise.
 
     ``d`` is the distance from the receive centre to the source axis and
     ``c = r*cos(theta)`` its axial offset from the source centre; ``l``,
     ``d``, ``c`` and ``L`` broadcast, so one call covers many links.  The
-    forms of ``bandwidth_z`` and ``bandwidth_x`` (e_z: the difference of the
-    direction cosines toward the two source ends; e_x: ``1 - cos`` of the
-    far end when the receive centre projects onto the source, else the
-    difference toward the near and far ends).  Unchecked: a receive point
-    on a source end gives NaN, and the function never warns.
+    forms of ``bandwidth_z/x/y``: e_z, the difference of the direction
+    cosines toward the two source ends; e_x, ``1 - cos`` of the far end when
+    the receive centre projects onto the source, else the difference toward
+    the near and far ends; e_y, the difference of the direction cosines at
+    ``|y|`` over the transverse distances to the near and far source ends.
+    Unchecked: a receive point on a source end, or the e_y centre ``y = 0``
+    on the source segment, gives NaN, and the function never warns.
     """
-    l = np.asarray(l, dtype=float)
     with np.errstate(all="ignore"):
-        if tag == "z":
-            return _dc(l + (c + 0.5 * L), d) - _dc(l + (c - 0.5 * L), d)
-        axial = np.abs(c)
-        u = l + d
-        far = _dc(u, axial + 0.5 * L)
-        return np.where(axial <= 0.5 * L, 1.0 - far, _dc(u, axial - 0.5 * L) - far)
+        return _form(tag, np.asarray(l, dtype=float), d, c, L)
 
 
 def _checked(out):
@@ -125,32 +123,37 @@ def bandwidth_y(y, params: AssemblyParams):
     bandwidth purely from the change in radial distance to the source.
     Accepts a scalar or array ``y``.
     """
-    return _checked(_y_bandwidth(y, params.d, params.r * math.cos(params.theta), params.L))
+    return _checked(axis_bandwidth("y", y, params.d, params.c, params.L))
 
 
-def _y_bandwidth(y, d, c, L):
-    """The form of ``bandwidth_y`` at ``y``, elementwise like ``axis_bandwidth``.
-
-    The difference of the direction cosines at ``|y|`` over the transverse
-    distances to the near source end (``d`` when the receive centre
-    projects onto the source) and to the far one, taken as the e_y branch
-    of ``_axis_extrema`` takes them.  Unchecked: ``y = 0`` on a receive
-    centre on the source segment gives NaN.
-    """
+def _form(tag: str, l, d, c, L):
+    # axis_bandwidth without its errstate, for _axis_extrema, which sets one
+    # for the whole kernel; a numpy-scalar l stays one.
+    if tag == "z":
+        return _dc(l + (c + 0.5 * L), d) - _dc(l + (c - 0.5 * L), d)
     axial = np.abs(c)
-    c_far = np.hypot(d, axial + 0.5 * L)
-    c_near = np.where(axial <= 0.5 * L, d, np.hypot(d, axial - 0.5 * L))
-    ay = np.abs(np.asarray(y, dtype=float))
-    with np.errstate(all="ignore"):
-        return _dc(ay, c_near) - _dc(ay, c_far)
+    if tag == "x":
+        u = l + d
+        far = _dc(u, axial + 0.5 * L)
+        return np.where(axial <= 0.5 * L, 1.0 - far, _dc(u, axial - 0.5 * L) - far)
+    return _y_form(l, *_transverse(d, axial, L))
+
+
+def _transverse(d, axial, L):
+    # (near, far): the receive centre's transverse distances to the source ends
+    # for e_y; near is d when the centre projects onto the source (|c| <= L/2)
+    near = np.where(axial <= 0.5 * L, d, np.hypot(d, axial - 0.5 * L))
+    return near, np.hypot(d, axial + 0.5 * L)
+
+
+def _y_form(y, near, far):
+    # the e_y form over the distances of _transverse, which _axis_extrema also needs
+    ay = np.abs(y)
+    return _dc(ay, near) - _dc(ay, far)
 
 
 #: The pointwise form of each axis direction, ``w(l, d, c, L)`` over links.
-_AXIS_FORMS = {
-    "z": functools.partial(axis_bandwidth, "z"),
-    "x": functools.partial(axis_bandwidth, "x"),
-    "y": _y_bandwidth,
-}
+_AXIS_FORMS = {tag: functools.partial(axis_bandwidth, tag) for tag in "zxy"}
 
 
 def bandwidth_generic(l, v_hat, params: AssemblyParams):
@@ -173,8 +176,7 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     norm = math.sqrt(vx * vx + vy * vy + vz * vz)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
-    c = params.r * math.cos(params.theta)
-    out, distance = _spread(l, (vx, vy, vz), params.d, c, params.L)
+    out, distance = _spread(l, (vx, vy, vz), params.d, params.c, params.L)
     if (distance < 1e-9).any():
         raise ValueError("receive point coincides with a source point (zero distance)")
     return float(out) if out.ndim == 0 else out
@@ -257,43 +259,38 @@ def _stationary(far, near):
 def _axis_extrema(tag: str, theta, L: float, rho: float, r):
     """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over ``theta`` and ``r``.
 
-    The closed forms behind ``extrema_z/x/y``, with every branch evaluated
-    and chosen elementwise (the branches those docstrings describe), so one
-    call covers a whole grid of polar angles and centre distances; one
+    The closed-form argmax of each direction (the branches the ``extrema_z/x/y``
+    docstrings describe, chosen elementwise), and the pointwise form there and
+    at the interval ends; only the e_z peak ``2*dc(L/2, d)`` is written out.
+    One call covers a whole grid of polar angles and centre distances; one
     angle and distance give the bits of their entry in such a grid.
     Branches not taken may divide by zero; the kernel never warns.
     """
     # A scalar r becomes a numpy scalar, whose arithmetic is cheaper than a 0-d array's.
     r = np.asarray(r, dtype=float)[()]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    axial = r * np.abs(cos_t)
-    d = r * sin_t
-    A = axial + 0.5 * L
-    B = axial - 0.5 * L
-    inside = axial <= 0.5 * L
+    c = r * np.cos(theta)
+    d = r * np.sin(theta)
+    axial = np.abs(c)
     with np.errstate(all="ignore"):
         if tag == "z":
-            z0 = -r * cos_t
-            peak = 2.0 * _dc(0.5 * L, d)
-            w_max = np.where(np.abs(z0) <= rho, peak, _dc(A - rho, d) - _dc(B - rho, d))
-            w_min = _dc(A + rho, d) - _dc(B + rho, d)
-            argmax = np.minimum(rho, np.maximum(-rho, z0))
+            # the form peaks at z0 = -c and falls off away from it, so the end on
+            # the side of c's sign holds the minimum
+            argmax = np.minimum(rho, np.maximum(-rho, -c))
+            w_max = np.where(axial <= rho, 2.0 * _dc(0.5 * L, d), _form("z", argmax, d, c, L))
+            w_min = _form("z", np.copysign(rho, c), d, c, L)
         elif tag == "x":
             lo = -np.minimum(d, rho)
-            x0 = _stationary(A, B) - d
+            x0 = _stationary(axial + 0.5 * L, axial - 0.5 * L) - d
+            inside = axial <= 0.5 * L
             argmax = np.where(inside | (x0 < lo), lo, np.where(x0 > rho, rho, x0))
-            u_lo, u_max, u_hi = d + lo, d + argmax, d + rho
-            w_max = np.where(inside, 1.0 - _dc(u_lo, A), _dc(u_max, B) - _dc(u_max, A))
-            w_min = np.where(
-                inside, 1.0 - _dc(u_hi, A),
-                np.minimum(_dc(u_lo, B) - _dc(u_lo, A), _dc(u_hi, B) - _dc(u_hi, A)),
-            )
+            w_max = _form("x", argmax, d, c, L)
+            w_hi = _form("x", rho, d, c, L)
+            w_min = np.where(inside, w_hi, np.minimum(_form("x", lo, d, c, L), w_hi))
         else:
-            c_near = np.where(inside, d, np.hypot(d, B))
-            c_far = np.hypot(d, A)
-            y_star = _stationary(c_far, c_near)
+            near, far = _transverse(d, axial, L)
+            y_star = _stationary(far, near)
             argmax = np.where((y_star > 0.0) & (y_star < rho), y_star, rho)
-            w_max = _dc(argmax, c_near) - _dc(argmax, c_far)
+            w_max = _y_form(argmax, near, far)
             w_min = np.zeros_like(w_max)
     return w_max, w_min, argmax
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._output import write_csv
 from .geometry import AssemblyParams, ReceiveDirection
 
 __all__ = [
@@ -117,7 +118,7 @@ def channel_matrix(rx_positions, tx_positions) -> np.ndarray:
 def build_channel(spec: ChannelSpec) -> np.ndarray:
     """Channel matrix (n_rx x n_tx) of a uniformly sampled assembly."""
     params = spec.params
-    source_center = np.array([-params.d, 0.0, -params.r * math.cos(params.theta)])
+    source_center = np.array([-params.d, 0.0, -params.c])
     tx = antenna_positions(params.L, spec.delta_s, source_center, (0.0, 0.0, 1.0))
     rx = antenna_positions(
         2.0 * params.rho, spec.delta_r, (0.0, 0.0, 0.0), spec.direction.unit_vector
@@ -187,12 +188,6 @@ def nyquist_spacing(K: float, rho: float) -> float:
 
 def channel_to_csv(H, path) -> None:
     """Write a complex channel matrix as CSV with (real, imag) column pairs."""
-    H = np.asarray(H)
+    H = np.asarray(H, dtype=complex)
     header = ",".join(f"h{j}_re,h{j}_im" for j in range(H.shape[1]))
-    stacked = np.empty((H.shape[0], 2 * H.shape[1]), dtype=float)
-    stacked[:, 0::2] = H.real
-    stacked[:, 1::2] = H.imag
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in stacked.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    write_csv(path, header, [part for column in H.T for part in (column.real, column.imag)])

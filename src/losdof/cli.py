@@ -29,14 +29,13 @@ import argparse
 import functools
 import json
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
+from ._output import write_csv, write_text
 from ._oracle import axis_draw_errors, generic_draw_errors, random_params, worst_error
 from .bandwidth import (  # bandwidth_generic and extrema unused; bench/tracing.py patches them here
     _AXIS_FORMS,
@@ -133,25 +132,11 @@ def _wavelength(text) -> float:
     return value
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout for None or ``-``.
-
-    An existing file is overwritten in place and then cut to the new length:
-    truncating to zero first makes ext4 flush the file on close.
-    """
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
-
-
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length ``columns`` (arrays, lists or ranges) under ``header``."""
-    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
-    _write_text(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+def _sidecar_output(text) -> str:
+    # checked before any work: the JSON sidecar is named after the CSV path
+    if str(text) == "-":
+        raise ValueError("--output needs a file path, not '-': the JSON sidecar goes beside it")
+    return str(text)
 
 
 def _assembly(o) -> AssemblyParams:
@@ -166,7 +151,7 @@ def cmd_bandwidth_profile(o) -> int:
     ls = np.linspace(lo, hi, o.samples)
     fn = {"x": bandwidth_x, "y": bandwidth_y, "z": bandwidth_z}[o.direction]
     ws = np.asarray(fn(ls, params), dtype=float)
-    _write_csv(o.output, "l,w", (ls * o.wavelength, ws / o.wavelength))
+    write_csv(o.output, "l,w", (ls * o.wavelength, ws / o.wavelength))
     return EXIT_OK
 
 
@@ -194,7 +179,7 @@ def cmd_k_number(o) -> int:
     # quadrature_abs_err is deprecated and always 0.0 (K is exact); it stays
     # one more release for readers of the JSON.
     payload = {**payload, "quadrature_abs_err": 0.0, "warnings": notes}
-    _write_text(o.output, json.dumps(payload, indent=2) + "\n")
+    write_text(o.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -203,7 +188,7 @@ def cmd_region_boundary(o) -> int:
     curve = boundary_curve(o.direction, o.kind, grid, o.source_length, o.rho, o.threshold)
     rows = [(theta, radius * o.wavelength, index)
             for theta, radii in curve.samples for index, radius in enumerate(radii)]
-    _write_csv(o.output, "theta,radius,root_index", zip(*rows))
+    write_csv(o.output, "theta,radius,root_index", zip(*rows))
     return EXIT_OK
 
 
@@ -218,8 +203,8 @@ def cmd_channel_svd(o) -> int:
     if o.matrix_csv:
         channel_to_csv(H, o.matrix_csv)
     columns = (range(len(spectrum.sigmas)), spectrum.sigmas, maxnorm, sumnorm)
-    _write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", columns)
-    _write_text(_sidecar_path(o.output), json.dumps(sidecar, indent=2) + "\n")
+    write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", columns)
+    write_text(_sidecar_path(o.output), json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -237,7 +222,7 @@ def cmd_scenario_map(o) -> int:
     grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
     result = k_map(scene, policy, grid, workers=o.threads)
     xs, ys = np.meshgrid(grid.xs * o.wavelength, grid.ys * o.wavelength, indexing="ij")
-    _write_csv(o.output, "x,y,k", (xs.ravel(), ys.ravel(), result.values.ravel()))
+    write_csv(o.output, "x,y,k", (xs.ravel(), ys.ravel(), result.values.ravel()))
     envelope = {
         "scene": {
             key: getattr(scene, key)
@@ -249,7 +234,7 @@ def cmd_scenario_map(o) -> int:
         "rows": int(grid.x_range[2] * grid.y_range[2]),
         "status_counts": result.status_counts,
     }
-    _write_text(_sidecar_path(o.output), json.dumps(envelope, indent=2) + "\n")
+    write_text(_sidecar_path(o.output), json.dumps(envelope, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -316,7 +301,8 @@ ASSEMBLY = (
 )
 DIRECTION = Option("direction", str, REQUIRED, "receive array orientation", choices=AXES)
 OUTPUT = Option("output", str, None, "output path (default: stdout)", alias="-o")
-SIDECAR_OUTPUT = replace(OUTPUT, default=REQUIRED, help="output CSV path; JSON goes beside it")
+SIDECAR_OUTPUT = replace(OUTPUT, type=_sidecar_output, default=REQUIRED,
+                         help="output CSV path; JSON goes beside it")
 
 #: command name -> (function, help, options in resolution order, units first)
 COMMANDS = {
@@ -348,7 +334,8 @@ COMMANDS = {
         Option("delta_r", float, REQUIRED, "receive antenna spacing", kind="length"),
         Option("threshold", float, 0.3, "usability threshold (default 0.3)"),
         SIDECAR_OUTPUT,
-        Option("matrix_csv", str, None, "also export the raw channel matrix to this CSV path"),
+        Option("matrix_csv", str, None,
+               "also export the raw channel matrix to this CSV path (- for stdout)"),
     )),
     "scenario-map": (cmd_scenario_map, "K-number map over the ground plane", (
         *UNITS,

@@ -11,7 +11,6 @@ numerically; the reference quadrature the checks use lives in ``_oracle``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -147,7 +146,7 @@ def k_exact(d, c, L, v, lo, hi):
 
 def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
     """Distinct piece edges of one link's ``[lo, hi]`` (see ``_kernel``)."""
-    return np.unique(_kernel(params.d, params.r * math.cos(params.theta), params.L, v, lo, hi)[1])
+    return np.unique(_kernel(params.d, params.c, params.L, v, lo, hi)[1])
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     """
     lo, hi = effective_interval(params, direction)
     v = direction.unit_vector
-    c = params.r * math.cos(params.theta)
-    value, edges = _kernel(params.d, c, params.L, v, lo, hi)
+    value, edges = _kernel(params.d, params.c, params.L, v, lo, hi)
     value = float(value)
     if direction.is_axis:
         summary = extrema(params, direction)
@@ -191,7 +189,7 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
         edges = np.unique(edges)
         half = 0.5 * np.diff(edges)[:, None]
         nodes = (edges[:-1, None] + half * (1.0 + _NODES)).ravel()
-        w = _spread(nodes, direction.v, params.d, c, params.L)[0]
+        w = _spread(nodes, direction.v, params.d, params.c, params.L)[0]
         lower, upper = float(np.nanmin(w)) * (hi - lo), float(np.nanmax(w)) * (hi - lo)
         linear = 0.5 * (lower + upper)
     return KNumberReport(value, upper, lower, linear, direction)

@@ -103,6 +103,11 @@ class AssemblyParams:
         return self.r * math.sin(self.theta)
 
     @property
+    def c(self) -> float:
+        """Signed axial offset of the receive centre from the source centre: ``r*cos(theta)``."""
+        return self.r * math.cos(self.theta)
+
+    @property
     def a(self) -> float:
         """Axial offset from the receive centre to the lower source end."""
         return self.r * math.cos(self.theta) + 0.5 * self.L

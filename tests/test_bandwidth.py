@@ -21,7 +21,7 @@ from losdof import (
     extrema_z,
     rz_boresight,
 )
-from losdof.bandwidth import _axis_extrema
+from losdof.bandwidth import _axis_extrema, axis_bandwidth
 
 from helpers import random_params, scan_extrema, scan_spread
 
@@ -403,12 +403,23 @@ class TestOneArithmetic:
         rows = np.array([(s.w_max, s.w_min, s.argmax_location) for s in map(one, draws)])
         assert np.count_nonzero((rows != batch).any(axis=1)) == 0
 
-    def test_wy_at_its_argmax_is_w_max(self, draws):
-        # the pointwise form and the extrema take the same transverse distances
-        summaries = [extrema_y(p) for p in draws]
-        moved = [p for p, s in zip(draws, summaries)
-                 if bandwidth_y(s.argmax_location, p) != s.w_max]
-        assert moved == []
+    @pytest.mark.parametrize("tag", "zxy")
+    def test_form_at_its_argmax_is_w_max(self, draws, tag):
+        # the extrema are the pointwise form at the argmax and at the interval
+        # ends; only the e_z peak is written out, as 2*dc(L/2, d), which the
+        # form meets up to the rounding of its arguments -c + (c +- L/2)
+        theta, L, rho, r, d, c = (np.array([getattr(p, name) for p in draws])
+                                  for name in ("theta", "L", "rho", "r", "d", "c"))
+        lo, hi = np.array([effective_interval(p, getattr(ReceiveDirection, tag)())
+                           for p in draws]).T
+        w_max, w_min, argmax = _axis_extrema(tag, theta, L, rho, r)
+        at_max = axis_bandwidth(tag, argmax, d, c, L)
+        peak = (np.abs(c) <= rho) if tag == "z" else np.zeros(len(draws), bool)
+        assert np.count_nonzero(at_max[~peak] != w_max[~peak]) == 0
+        slack = np.finfo(float).eps * (3.0 + np.abs(c) / L)
+        assert np.all(np.abs(at_max - w_max)[peak] <= (slack * w_max)[peak])
+        ends = np.minimum(axis_bandwidth(tag, lo, d, c, L), axis_bandwidth(tag, hi, d, c, L))
+        assert np.count_nonzero(ends != w_min) == 0
 
 
 class TestFarFieldFlag:

@@ -360,6 +360,15 @@ class TestChannelSvdCommand:
         header = hpath.read_text().splitlines()[0]
         assert header.startswith("h0_re,h0_im")
 
+    def test_matrix_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["channel-svd", "--source-length", 40, "--rho", 5, "--distance", 100,
+                "--delta-s", 8, "--delta-r", 2.5, "--output", "svd.csv"]
+        assert run([*args, "--matrix-csv", "H.csv"]) == 0
+        assert run([*args, "--matrix-csv", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "H.csv").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["H.csv", "svd.csv", "svd.json"]
+
 
 class TestScenarioMapCommand:
     def test_row_count_and_envelope(self, tmp_path):
@@ -549,6 +558,24 @@ class TestOutputWriter:
         )
         envelope = json.loads((tmp_path / "map.json").read_text())
         assert envelope["status_counts"] == {"ok": 5, "excluded": 1, "failed": 0}
+
+
+class TestSidecarOutput:
+    """A command with a JSON sidecar names it after the CSV, so it needs a file path."""
+
+    @pytest.mark.parametrize("args", [
+        ["channel-svd", "-L", 4, "--rho", 1, "-r", 10, "--delta-s", 1, "--delta-r", 0.5],
+        ["scenario-map", "--mode", "vertical", "-L", 40, "--source-height", 40,
+         "--receive-length", 4, "--x-steps", 2, "--y-steps", 2],
+    ], ids=["channel-svd", "scenario-map"])
+    def test_stdout_rejected(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert run([*args, "-o", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sidecar" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
