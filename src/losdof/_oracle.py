@@ -7,10 +7,11 @@ reference integrals from ``adaptive_gauss``, an adaptive Gauss-Legendre
 quadrature.  ``axis_draw_errors`` checks the axis closed forms and
 ``generic_draw_errors`` the generic one, on all assemblies of a batch
 together (``verify`` and acceptance criterion 8 share them); they take the
-closed forms as arguments, so this module never imports them.  Every scan
-runs over all rows of a batch at once: the dense scan in blocks of whole
-rows capped at ``SCAN_BLOCK`` points per call, then one call per zoom for
-every bracket still open.
+closed forms as arguments, so this module never imports them.  The axis
+sandwich checks the bounds the library reports, from the same array pass
+that gives ``k_number``.  Every scan runs over all rows of a batch at once:
+the dense scan in blocks of whole rows capped at ``SCAN_BLOCK`` points per
+call, then one call per zoom for every bracket still open.
 """
 
 from __future__ import annotations
@@ -226,22 +227,23 @@ def scan_spread(l, v, params, samples: int = 10001):
     return float(spread[0]) if one else spread
 
 
-def axis_draw_errors(draws, pointwise, axis_extrema, k_exact, samples: int, points: int):
+def axis_draw_errors(draws, pointwise, axis_extrema, reports, samples: int, points: int):
     """Worst errors of the axis closed forms on each of a sequence of assemblies.
 
     The closed forms under test are arguments: ``pointwise[tag](l, d, c, L)``
     is the bandwidth of axis ``tag`` at ``l`` on links ``(d, c = r cos θ,
     L)``, broadcasting; ``axis_extrema(tag, theta, L, rho, r)`` gives
     ``(w_max, w_min, argmax)`` over arrays of assemblies; and
-    ``k_exact(d, c, L, v, lo, hi)`` the exact K numbers of a batch.  Returns
-    three arrays, one entry per assembly, each the worst over e_z, e_x and
-    e_y of:
+    ``reports(tag, L, rho, r, theta, v)`` the ``(k_exact, k_lower, k_upper,
+    k_linear)`` that a batch of links reports, as ``dof._reports``.
+    Returns three arrays, one entry per assembly, each the worst over e_z,
+    e_x and e_y of:
 
     * the gap between ``w_max``/``w_min`` and ``scan_extrema`` of the
       pointwise form over the effective interval (``samples`` points);
-    * the excess of ``k_lower = w_min·|I|`` over ``k_exact`` or of
-      ``k_exact`` over ``k_upper = w_max·|I|`` beyond a slack of 1e-9,
-      which is <= 0 when the sandwich holds;
+    * the excess of the reported ``k_lower`` over ``k_exact`` or of
+      ``k_exact`` over ``k_upper`` beyond a slack of 1e-9, which is <= 0
+      when the sandwich holds;
     * the error of the identities ``w_z(z; θ) = w_z(-z; π-θ)``,
       ``w_x(x; θ) = w_x(x; π-θ)``, ``w_y(y) = w_y(-y)`` and
       ``w_y(y; θ) = w_y(y; π-θ)`` on grids of ``points`` positions.  The
@@ -252,7 +254,7 @@ def axis_draw_errors(draws, pointwise, axis_extrema, k_exact, samples: int, poin
     An error that is NaN (a non-finite value under test) is returned as
     inf, so it fails any bound.
     """
-    links = d, c, L = _links(draws)
+    links = d, _, L = _links(draws)
     rho, r, theta = (np.array([getattr(p, name) for p in draws]) for name in ("rho", "r", "theta"))
     # The effective intervals: the whole array, [-min(d, rho), rho] and the half [0, rho].
     intervals = {"z": (-rho, rho), "x": (-np.minimum(d, rho), rho), "y": (np.zeros_like(rho), rho)}
@@ -261,9 +263,9 @@ def axis_draw_errors(draws, pointwise, axis_extrema, k_exact, samples: int, poin
         w_max, w_min, _ = axis_extrema(tag, theta, L, rho, r)
         s_lo, s_hi = scan_extrema(pointwise[tag], lo, hi, samples, args=links)
         gaps += [s_hi - w_max, s_lo - w_min]
-        k = k_exact(d, c, L, np.broadcast_to(_UNIT[tag], (len(draws), 3)), lo, hi)
-        span = hi - lo
-        excesses += [w_min * span - k - 1e-9, k - w_max * span - 1e-9]
+        v = np.broadcast_to(_UNIT[tag], (len(draws), 3))
+        k, k_lower, k_upper, _ = reports(tag, L, rho, r, theta, v)
+        excesses += [k_lower - k - 1e-9, k - k_upper - 1e-9]
 
     mirrored = [AssemblyParams(p.L, p.rho, p.r, math.pi - p.theta) for p in draws]
     mirrored = [x[:, None] for x in _links(mirrored)]

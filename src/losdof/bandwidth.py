@@ -229,12 +229,15 @@ def effective_interval(params: AssemblyParams, direction: ReceiveDirection) -> t
     orientations use the full ``[-rho, rho]``; no symmetry reduction is
     attempted for them.
     """
-    rho = params.rho
-    if direction.tag == "x":
-        return (-min(params.d, rho), rho)
-    if direction.tag == "y":
-        return (0.0, rho)
-    return (-rho, rho)
+    lo, hi = _interval(direction.tag, params.d, params.rho)
+    return float(lo), float(hi)
+
+
+def _interval(tag: str, d, rho):
+    """``effective_interval`` of direction ``tag``, elementwise over ``d`` and ``rho``."""
+    if tag == "x":
+        return -np.minimum(d, rho), rho
+    return (0.0 if tag == "y" else -rho), rho
 
 
 def _dc(t, c):
@@ -279,7 +282,7 @@ def _axis_extrema(tag: str, theta, L: float, rho: float, r):
             w_max = np.where(axial <= rho, 2.0 * _dc(0.5 * L, d), _form("z", argmax, d, c, L))
             w_min = _form("z", np.copysign(rho, c), d, c, L)
         elif tag == "x":
-            lo = -np.minimum(d, rho)
+            lo, _ = _interval("x", d, rho)
             x0 = _stationary(axial + 0.5 * L, axial - 0.5 * L) - d
             inside = axial <= 0.5 * L
             argmax = np.where(inside | (x0 < lo), lo, np.where(x0 > rho, rho, x0))

@@ -56,7 +56,7 @@ from .channel import (
     singular_spectrum,
     usable_count,
 )
-from .dof import k_exact, k_number
+from .dof import _reports, k_number
 from .geometry import FAR_FIELD_MIN_R, AssemblyParams, ReceiveDirection, ScenePlacement
 from .regions import boundary_curve
 from .scenarios import GroundGrid, k_map
@@ -254,7 +254,7 @@ def cmd_verify(o) -> int:
         v = rng.normal(size=3)
         directions.append(v / np.linalg.norm(v))
     extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
-        draws, _AXIS_FORMS, _axis_extrema, k_exact, samples=4001, points=11
+        draws, _AXIS_FORMS, _axis_extrema, _reports, samples=4001, points=11
     )
     generic_err = generic_draw_errors(
         draws, probes, np.reshape(directions, (-1, 3)), _AXIS_FORMS, _spread, samples=4001

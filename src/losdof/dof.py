@@ -3,14 +3,17 @@
 The K number is the integral of the local spatial bandwidth over the
 direction's effective interval, exact in closed form from path-length
 differences (see ``k_number``; ``k_exact`` evaluates it for a whole batch of
-links in one array pass).  Alongside it this module provides the
-constant-bandwidth upper/lower bounds, the linear mid-point approximation
-and the classic parallel-array formula.  Nothing here integrates
-numerically; the reference quadrature the checks use lives in ``_oracle``.
+links in one array pass).  Alongside it come the constant-bandwidth
+lower/upper bounds and the linear mid-point approximation, for any receive
+direction; one array pass over a batch of links gives all of them, and
+``k_number``, ``k_bounds`` and ``k_linear`` are its one-link calls.  Also the
+classic parallel-array formula.  Nothing here integrates numerically; the
+reference quadrature the checks use lives in ``_oracle``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,15 +22,16 @@ from scipy.special import ellipe, ellipeinc, ellipk, ellipkinc
 
 # QuadratureError is unused here; bench/tracing.py reads it on this module.
 from ._oracle import QuadratureError  # noqa: F401
-from .bandwidth import (  # bandwidth_generic/x/y/z unused; bench/tracing.py patches them here
-    BandwidthSummary,
+# bandwidth_generic/x/y/z and extrema are unused here; bench/tracing.py patches them.
+from .bandwidth import (
+    _axis_extrema,
     _frequencies,
+    _interval,
     _spread,
     bandwidth_generic,
     bandwidth_x,
     bandwidth_y,
     bandwidth_z,
-    effective_interval,
     extrema,
 )
 from .geometry import AssemblyParams, ReceiveDirection
@@ -149,12 +153,45 @@ def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
     return np.unique(_kernel(params.d, params.c, params.L, v, lo, hi)[1])
 
 
+def _reports(tag: str, L, rho, r, theta, v):
+    """``(K, k_lower, k_upper, k_linear)`` of a batch of links in one array pass.
+
+    Links ``(L, rho, r, theta)`` as in ``AssemblyParams`` broadcast to the
+    shape ``v.shape[:-1]`` of the receive directions ``v`` (components on the
+    last axis), all of direction ``tag``; a ``(3,)`` vector gives one link
+    and scalars.  Over the effective interval ``I`` the
+    bounds are ``w_min*|I|`` and ``w_max*|I|`` and ``k_linear`` is
+    ``(w_min + w_max)/2 * |I|``.  Axis links take ``w_max``/``w_min`` from
+    ``_axis_extrema``, generic links from ``_spread`` at the Gauss-Legendre
+    nodes of every piece of ``_kernel``.  Unchecked: an indeterminate
+    extreme gives NaN bounds.
+    """
+    v = np.asarray(v, dtype=float)
+    d, c = r * np.sin(theta), r * np.cos(theta)
+    lo, hi = _interval(tag, d, rho)
+    value, edges = _kernel(d, c, L, v, lo, hi)
+    if tag == "generic":
+        a, b = edges[..., :-1, None], edges[..., 1:, None]
+        nodes = a + 0.5 * (b - a) * (1.0 + _NODES)
+        w = _spread(nodes, np.moveaxis(v, -1, 0)[..., None, None],
+                    *(np.asarray(x)[..., None, None] for x in (d, c, L)))[0]
+        # zero-length pieces take no nodes; fmin/fmax pass over their NaN
+        w = np.where(b > a, w, np.nan)
+        w_max, w_min = np.fmax.reduce(w, axis=(-2, -1)), np.fmin.reduce(w, axis=(-2, -1))
+    else:
+        w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
+    span = hi - lo
+    return value, w_min * span, w_max * span, 0.5 * (w_min + w_max) * span
+
+
 @dataclass(frozen=True)
 class KNumberReport:
     """Exact K number with its constant-bandwidth bounds and linear approximation.
 
-    ``k_lower <= k_exact <= k_upper`` holds (generic bounds are observed
-    extremes), and ``k_linear`` is the midpoint of the two bounds.
+    ``k_lower = w_min*|I|`` and ``k_upper = w_max*|I|`` over the effective
+    interval ``I``, and ``k_linear = (w_min + w_max)/2 * |I|``.  The sandwich
+    ``k_lower <= k_exact <= k_upper`` is guaranteed for axis directions;
+    generic bounds are observed extremes at Gauss-Legendre nodes.
     """
 
     k_exact: float
@@ -165,7 +202,7 @@ class KNumberReport:
 
 
 def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberReport:
-    """K number in closed form from path-length differences.
+    """K number in closed form from path-length differences, with its bounds.
 
     Integrates the local spatial bandwidth over the direction's effective
     interval (for e_y the half interval already counts only the
@@ -173,25 +210,16 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     end is the derivative of the distance to it, so it integrates to a
     path-length difference (Miller, Appl. Opt. 2000); the stationary one to
     elliptic integrals.  Axis directions fill the bounds and the linear
-    approximation from the exact-interval closed forms; generic directions
-    use the bandwidth extremes at fixed Gauss-Legendre nodes of each piece,
-    skipping a node that lands on a source point.
+    approximation from the closed-form extrema; generic directions use the
+    bandwidth extremes at fixed Gauss-Legendre nodes of each piece,
+    skipping a node that lands on a source point.  A link whose bandwidth
+    extremes are indeterminate (a receive-array end on a source end) is
+    rejected.
     """
-    lo, hi = effective_interval(params, direction)
-    v = direction.unit_vector
-    value, edges = _kernel(params.d, params.c, params.L, v, lo, hi)
-    value = float(value)
-    if direction.is_axis:
-        summary = extrema(params, direction)
-        lower, upper = _bounds(summary)
-        linear = _linear(summary)
-    else:
-        edges = np.unique(edges)
-        half = 0.5 * np.diff(edges)[:, None]
-        nodes = (edges[:-1, None] + half * (1.0 + _NODES)).ravel()
-        w = _spread(nodes, direction.v, params.d, params.c, params.L)[0]
-        lower, upper = float(np.nanmin(w)) * (hi - lo), float(np.nanmax(w)) * (hi - lo)
-        linear = 0.5 * (lower + upper)
+    value, lower, upper, linear = (float(x) for x in _reports(
+        direction.tag, params.L, params.rho, params.r, params.theta, direction.unit_vector))
+    if math.isnan(upper - lower):
+        raise ValueError("indeterminate bandwidth: a receive-array end coincides with a source end")
     return KNumberReport(value, upper, lower, linear, direction)
 
 
@@ -199,29 +227,22 @@ def k_bounds(params: AssemblyParams, direction: ReceiveDirection) -> tuple[float
     """Constant-bandwidth (lower, upper) bounds on the K number.
 
     The bandwidth extrema times the direction's effective interval length,
-    so the sandwich ``k_lower <= k_exact <= k_upper`` is guaranteed.
+    as ``k_number`` reports them.  For axis directions the sandwich
+    ``k_lower <= k_exact <= k_upper`` is guaranteed; generic bounds are the
+    observed extremes at Gauss-Legendre nodes of each piece.
     """
-    return _bounds(extrema(params, direction))
-
-
-def _bounds(summary: BandwidthSummary) -> tuple[float, float]:
-    lo, hi = summary.effective_interval
-    return summary.w_min * (hi - lo), summary.w_max * (hi - lo)
+    report = k_number(params, direction)
+    return report.k_lower, report.k_upper
 
 
 def k_linear(params: AssemblyParams, direction: ReceiveDirection) -> float:
-    """Linear (midpoint) approximation of the K number.
+    """Linear (midpoint) approximation of the K number, as ``k_number`` reports it.
 
     The bandwidth profile is approximated by a linear ramp between its
     extrema over the effective interval, which integrates to the midpoint
     formula ``(w_min + w_max)/2 * |I|``.
     """
-    return _linear(extrema(params, direction))
-
-
-def _linear(summary: BandwidthSummary) -> float:
-    lo, hi = summary.effective_interval
-    return 0.5 * (summary.w_min + summary.w_max) * (hi - lo)
+    return k_number(params, direction).k_linear
 
 
 def k_parallel(source_length: float, receive_length: float, distance: float) -> float:

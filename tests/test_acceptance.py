@@ -30,7 +30,7 @@ from losdof import (
     vertical_scene_to_local,
 )
 from losdof.bandwidth import _AXIS_FORMS, _axis_extrema
-from losdof.dof import k_exact
+from losdof.dof import _reports
 
 from helpers import axis_draw_errors, random_params
 
@@ -182,7 +182,7 @@ def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(2024)
     draws = [random_params(rng) for _ in range(500)]
     extrema_err, sandwich_err, symmetry_err = axis_draw_errors(
-        draws, _AXIS_FORMS, _axis_extrema, k_exact, samples=10001, points=9
+        draws, _AXIS_FORMS, _axis_extrema, _reports, samples=10001, points=9
     )
     worst_extrema = float(extrema_err.max())
     sandwich_ok = bool(np.all(sandwich_err <= 0.0))

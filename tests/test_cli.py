@@ -14,6 +14,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def load_json(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``, which JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 ASSEMBLY = ["--source-length", 400, "--rho", 20, "--distance", 300, "--theta", math.pi / 2]
 
 
@@ -83,7 +91,7 @@ class TestKNumberCommand:
                 "--distance", 15998.74995116806, "--theta", math.pi / 2,
                 "--direction", "z", "--output", out]
         assert run(args) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert payload["k_upper"] == pytest.approx(1.0, abs=1e-9)
         assert payload["warnings"] == []
         assert set(payload) == {
@@ -96,7 +104,7 @@ class TestKNumberCommand:
         out = tmp_path / "k.json"
         assert run(["k-number", *ASSEMBLY, "--direction", "generic",
                     "--v-hat", "0.6,0.0,0.8", "--output", out]) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert list(payload) == [
             "k_exact", "k_upper", "k_lower", "k_linear", "quadrature_abs_err", "warnings"
         ]
@@ -106,9 +114,22 @@ class TestKNumberCommand:
         out = tmp_path / "k.json"
         run(["k-number", "--source-length", 40, "--rho", 2, "--distance", 5,
              "--direction", "z", "--output", out])
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert len(payload["warnings"]) == 1
         assert "far-field" in payload["warnings"][0]
+
+    @pytest.mark.parametrize("link", [
+        # the e_z array runs from 5 to 15 on the source axis and the source from -5 to 5
+        ["-L", 10, "--rho", 5, "-r", 10, "--theta", 0, "--direction", "z"],
+    ], ids=["z-end-on-end"])
+    def test_indeterminate_link_exits_2(self, tmp_path, capsys, link):
+        out = tmp_path / "k.json"
+        assert run(["k-number", *link, "--output", out]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: indeterminate bandwidth: "
+                                "a receive-array end coincides with a source end\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -122,14 +143,14 @@ class TestKNumberCommand:
         out = tmp_path / "k.json"
         assert run(["k-number", *ASSEMBLY, "--direction", "generic",
                     "--v-hat", "0.6,0.0,0.8", "--output", out]) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert payload["k_lower"] <= payload["k_exact"] <= payload["k_upper"]
 
     def test_generic_v_hat_with_leading_minus(self, tmp_path):
         out = tmp_path / "k.json"
         assert run(["k-number", *ASSEMBLY, "--direction", "generic",
                     "--v-hat", "-0.6,0,0.8", "--output", out]) == 0
-        assert json.loads(out.read_text())["k_exact"] > 0
+        assert load_json(out.read_text())["k_exact"] > 0
 
     def test_generic_array_through_source(self, tmp_path):
         # the receive array crosses the source segment, where the bandwidth
@@ -137,7 +158,7 @@ class TestKNumberCommand:
         out = tmp_path / "k.json"
         assert run(["k-number", "-L", 400, "--rho", 20, "-r", 10, "--direction", "generic",
                     "--v-hat", "0.6,0,0.8", "--output", out]) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert payload["k_lower"] <= payload["k_exact"] <= payload["k_upper"]
 
     def test_generic_near_range_converges(self, tmp_path):
@@ -148,7 +169,7 @@ class TestKNumberCommand:
                     "--theta", 2.9466757769015084, "--direction", "generic",
                     "--v-hat=-0.5464368685021558,-0.8068938736714304,-0.22434131445873173",
                     "--output", out]) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert payload["k_exact"] == pytest.approx(16.261847046728192, abs=1e-9)
 
     @pytest.mark.parametrize("link, expected", [
@@ -169,7 +190,7 @@ class TestKNumberCommand:
         # with that point given
         out = tmp_path / "k.json"
         assert run(["k-number", *link, "--direction", "generic", "--output", out]) == 0
-        payload = json.loads(out.read_text())
+        payload = load_json(out.read_text())
         assert payload["k_exact"] == pytest.approx(expected, abs=1e-9)
 
 
@@ -327,7 +348,7 @@ class TestChannelSvdCommand:
         assert run(["channel-svd", "--source-length", 400, "--rho", 20,
                     "--distance", 8000, "--theta", math.pi / 2, "--direction", "z",
                     "--delta-s", 0.5, "--delta-r", 0.5, "--output", out]) == 0
-        sidecar = json.loads((tmp_path / "svd.json").read_text())
+        sidecar = load_json((tmp_path / "svd.json").read_text())
         assert sidecar == {"n_t": 801, "n_r": 81, "usable_count": 3}
         lines = out.read_text().splitlines()
         assert lines[0] == "index,sigma,sigma_maxnorm,sigma_sumnorm"
@@ -381,7 +402,7 @@ class TestScenarioMapCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,k"
         assert len(lines) == 1 + 4 * 3
-        envelope = json.loads((tmp_path / "map.json").read_text())
+        envelope = load_json((tmp_path / "map.json").read_text())
         assert envelope["rows"] == 12
         assert envelope["policy"] == "gamma"
         assert envelope["scene"]["mode"] == "vertical"
@@ -403,7 +424,7 @@ class TestScenarioMapCommand:
         assert run(["scenario-map", "--mode", "horizontal", "--source-length", 400,
                     "--source-height", 200, "--receive-length", 40, "--policy", "hcontrol",
                     "--x-steps", 3, "--y-steps", 2, "--output", out]) == 0
-        envelope = json.loads((tmp_path / "map.json").read_text())
+        envelope = load_json((tmp_path / "map.json").read_text())
         assert envelope["status_counts"] == {"ok": 6, "excluded": 0, "failed": 0}
 
     @pytest.mark.parametrize("extra", [
@@ -556,7 +577,7 @@ class TestOutputWriter:
             "2.0,0.0,7.997397174733486\n"
             "2.0,2.0,7.956113135990131\n"
         )
-        envelope = json.loads((tmp_path / "map.json").read_text())
+        envelope = load_json((tmp_path / "map.json").read_text())
         assert envelope["status_counts"] == {"ok": 5, "excluded": 1, "failed": 0}
 
 
@@ -607,18 +628,21 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["k_exact", "_spread"])
     def test_nan_fails(self, monkeypatch, capsys, name):
+        # k_exact: the exact K of the reports the sandwich check reads
         import losdof.cli as cli
 
-        real = getattr(cli, name)
+        target = "_reports" if name == "k_exact" else name
+        real = getattr(cli, target)
 
         def nan_k(*args):
-            return np.full_like(real(*args), math.nan)
+            k, *rest = real(*args)
+            return (np.full_like(k, math.nan), *rest)
 
         def nan_spread(*args):
             spread, distance = real(*args)
             return np.full_like(spread, math.nan), distance
 
-        monkeypatch.setattr(cli, name, nan_k if name == "k_exact" else nan_spread)
+        monkeypatch.setattr(cli, target, nan_k if name == "k_exact" else nan_spread)
         assert run(["verify", "--draws", 2, "--seed", 1]) == 3
         out = capsys.readouterr().out
         assert out.count("FAIL") == 1 and "worst inf" in out

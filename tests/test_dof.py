@@ -20,7 +20,7 @@ from losdof import (
 )
 from losdof.bandwidth import bandwidth_generic
 from losdof._oracle import adaptive_gauss
-from losdof.dof import _piece_edges, k_exact
+from losdof.dof import _piece_edges, _reports, k_exact
 
 from helpers import random_params, trapezoid_k
 
@@ -119,6 +119,9 @@ class TestKNumber:
             w = bandwidth_generic((edges[:-1, None] + half * (1.0 + nodes)).ravel(), v, p)
             assert rep.k_lower == w.min() * 2.0 * p.rho
             assert rep.k_upper == w.max() * 2.0 * p.rho
+            direction = ReceiveDirection.generic(v)
+            assert k_bounds(p, direction) == (rep.k_lower, rep.k_upper)
+            assert k_linear(p, direction) == rep.k_linear
 
     @given(L=st.floats(10.0, 1e3), rho=st.floats(1.0, 1e2), r=st.floats(10.0, 1e5),
            theta=st.floats(0.0, math.pi),
@@ -206,6 +209,19 @@ class TestKNumber:
         batch = k_exact(*args)
         single = [k_exact(*link) for link in zip(*args)]
         np.testing.assert_array_equal(batch, single)
+        # each row of the report pass is k_number of its link, broadside links among them
+        links += [AssemblyParams(p.L, p.rho, p.r, math.pi / 2) for p in links[:6]]
+        vs = np.r_[vs, vs[:6]]
+        assembly = [np.array([getattr(p, name) for p in links])
+                    for name in ("L", "rho", "r", "theta")]
+        for tag in ("z", "x", "y", "generic"):
+            directions = [ReceiveDirection.generic(v) if tag == "generic" else ReceiveDirection(tag)
+                          for v in vs]
+            reports = _reports(tag, *assembly, np.array([d.unit_vector for d in directions]))
+            for p, direction, row in zip(links, directions, np.transpose(reports)):
+                rep = k_number(p, direction)
+                np.testing.assert_array_equal(row, [rep.k_exact, rep.k_lower, rep.k_upper,
+                                                    rep.k_linear])
 
 
 class TestBoundsAndLinear:

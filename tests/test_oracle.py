@@ -28,7 +28,7 @@ from losdof._oracle import (
     scan_spread,
 )
 from losdof.bandwidth import _AXIS_FORMS, _axis_extrema, _spread
-from losdof.dof import k_exact
+from losdof.dof import _reports
 
 
 class CountingFn:
@@ -223,8 +223,8 @@ class TestBatchedScan:
 PARAMS = [AssemblyParams(40.0, 5.0, 300.0, 1.1), AssemblyParams(120.0, 30.0, 95.0, 0.2)]
 
 
-def checks(forms=_AXIS_FORMS, axis_extrema=_axis_extrema, k=k_exact, samples=4001):
-    return axis_draw_errors(PARAMS, forms, axis_extrema, k, samples=samples, points=11)
+def checks(forms=_AXIS_FORMS, axis_extrema=_axis_extrema, reports=_reports, samples=4001):
+    return axis_draw_errors(PARAMS, forms, axis_extrema, reports, samples=samples, points=11)
 
 
 def test_axis_draw_errors_pass_on_the_closed_forms():
@@ -246,12 +246,15 @@ def nan_extremum(which):
 
 @pytest.mark.parametrize("field", ["k_exact", "k_lower", "k_upper"])
 def test_nan_k_fails_the_sandwich(field):
-    # k_lower and k_upper are w_min and w_max times the interval length
-    if field == "k_exact":
-        _, sandwich_err, _ = checks(k=lambda *args: np.full_like(k_exact(*args), np.nan))
-    else:
-        _, sandwich_err, _ = checks(axis_extrema=nan_extremum(
-            "w_min" if field == "k_lower" else "w_max"))
+    # the sandwich compares the reported fields, (k_exact, k_lower, k_upper, k_linear)
+    index = ["k_exact", "k_lower", "k_upper"].index(field)
+
+    def reports(*args):
+        fields = list(_reports(*args))
+        fields[index] = np.full_like(fields[index], np.nan)
+        return tuple(fields)
+
+    _, sandwich_err, _ = checks(reports=reports)
     assert np.all(sandwich_err == math.inf)
 
 
