@@ -42,7 +42,6 @@ from .geometry import (
     ScenePlacement,
     arctan_star,
     horizontal_scene_to_local,
-    sign_star,
     vertical_scene_to_local,
 )
 from .regions import (
@@ -56,7 +55,7 @@ from .regions import (
     smr_boundary,
     smr_boundary_y,
 )
-from .scenarios import GroundGrid, KMap, k_map, phi_policy_gamma, phi_policy_h
+from .scenarios import GroundGrid, KMap, k_map
 
 __all__ = [
     "__version__",
@@ -99,11 +98,8 @@ __all__ = [
     "ncsmr_boundary",
     "normalized_spectrum",
     "nyquist_spacing",
-    "phi_policy_gamma",
-    "phi_policy_h",
     "r0_threshold",
     "rz_boresight",
-    "sign_star",
     "singular_spectrum",
     "smr_boundary",
     "smr_boundary_y",

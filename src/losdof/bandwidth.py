@@ -23,7 +23,7 @@ import numpy as np
 # Unused here; kept because bench/tracing.py counts calls through this name.
 from scipy.optimize import minimize_scalar  # noqa: F401
 
-from .geometry import AssemblyParams, ReceiveDirection
+from .geometry import AssemblyParams, ReceiveDirection, _as_unit_tuple
 
 __all__ = [
     "BandwidthSummary",
@@ -172,11 +172,7 @@ def bandwidth_generic(l, v_hat, params: AssemblyParams):
     corresponding axis (for e_y, on the half interval ``[0, rho]``).  Accepts
     a scalar or array ``l``.
     """
-    vx, vy, vz = (float(c) for c in v_hat)
-    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"v_hat must be a unit vector, got |v| = {norm!r}")
-    out, distance = _spread(l, (vx, vy, vz), params.d, params.c, params.L)
+    out, distance = _spread(l, _as_unit_tuple(v_hat), params.d, params.c, params.L)
     if (distance < 1e-9).any():
         raise ValueError("receive point coincides with a source point (zero distance)")
     return float(out) if out.ndim == 0 else out
@@ -241,7 +237,7 @@ def _interval(tag: str, d, rho):
 
 
 def _dc(t, c):
-    # direction_cosine unchecked: 0/0 is NaN, and the extrema_* wrappers reject it.
+    # direction_cosine unchecked: 0/0 is NaN, which _checked and extrema reject.
     return t / np.hypot(t, c)
 
 

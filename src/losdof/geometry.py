@@ -33,7 +33,6 @@ __all__ = [
     "ScenePlacement",
     "LocalFrame",
     "arctan_star",
-    "sign_star",
     "gamma",
     "scene_to_local",
     "vertical_scene_to_local",
@@ -50,7 +49,7 @@ FAR_FIELD_MIN_R = 10.0
 def _as_unit_tuple(v) -> tuple[float, float, float]:
     vx, vy, vz = (float(c) for c in v)
     norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if abs(norm - 1.0) > _UNIT_TOL:
+    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN norm fails too
         raise ValueError(f"direction vector must have unit norm, got |v| = {norm!r}")
     return (vx, vy, vz)
 
@@ -106,35 +105,6 @@ class AssemblyParams:
     def c(self) -> float:
         """Signed axial offset of the receive centre from the source centre: ``r*cos(theta)``."""
         return self.r * math.cos(self.theta)
-
-    @property
-    def a(self) -> float:
-        """Axial offset from the receive centre to the lower source end."""
-        return self.r * math.cos(self.theta) + 0.5 * self.L
-
-    @property
-    def b(self) -> float:
-        """Axial offset from the receive centre to the upper source end."""
-        return self.r * math.cos(self.theta) - 0.5 * self.L
-
-    @property
-    def A(self) -> float:
-        """Axial distance to the far source end: ``r*|cos(theta)| + L/2``."""
-        return self.r * abs(math.cos(self.theta)) + 0.5 * self.L
-
-    @property
-    def B(self) -> float:
-        """Signed axial distance to the near source end: ``r*|cos(theta)| - L/2``."""
-        return self.r * abs(math.cos(self.theta)) - 0.5 * self.L
-
-    @property
-    def projection_inside(self) -> bool:
-        """True when the receive centre projects onto the source segment.
-
-        Equivalent to ``|cos(theta)| <= L / (2 r)``.  Boundary ties belong to
-        this branch; the closed forms are continuous across it.
-        """
-        return self.r * abs(math.cos(self.theta)) <= 0.5 * self.L
 
     @property
     def far_field(self) -> bool:
@@ -260,14 +230,6 @@ def arctan_star(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"arctan_star requires a finite argument, got {x!r}")
     return (math.pi if x < 0 else 0.0) + math.atan(x)
-
-
-def sign_star(x: float) -> int:
-    """Three-way sign: 1 for positive, 0 for zero, -1 for negative."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"sign_star requires a finite argument, got {x!r}")
-    return (x > 0) - (x < 0)
 
 
 def _check_phi(phi: float) -> float:

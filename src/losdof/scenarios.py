@@ -37,6 +37,7 @@ from .bandwidth import axis_bandwidth, bandwidth_x, bandwidth_z  # noqa: F401
 from .dof import k_exact, k_number  # noqa: F401
 from .geometry import (  # noqa: F401
     ScenePlacement,
+    _check_phi,
     gamma,
     horizontal_scene_to_local,
     scene_to_local,
@@ -49,10 +50,7 @@ __all__ = [
     "STATUSES",
     "gamma",
     "hcontrol",
-    "phi_policy_gamma",
-    "phi_policy_h",
     "k_map",
-    "kmap_rows",
 ]
 
 #: receive positions closer than this to the source centre are masked out.
@@ -124,7 +122,7 @@ def hcontrol(x, y, scene: ScenePlacement):
     """Closed-form orientation for the horizontal placement, elementwise.
 
     Balances the centre-point bandwidths of the e_z and e_x directions:
-    ``arctan_star(sign_star(-x'') * cos(psi) * w_x(0) / w_z(0))``.  The
+    ``arctan_star(sign(-x'') * cos(psi) * w_x(0) / w_z(0))``.  The
     result exceeds pi/2 for ``x'' > 0``, stays below it for ``x'' < 0`` and
     is 0 on the boresight plane ``x'' = 0``.  NaN where the ratio is
     undefined (a vanishing ``w_z(0)``).
@@ -142,28 +140,12 @@ def hcontrol(x, y, scene: ScenePlacement):
     return np.where((w_z0 > 0.0) & np.isfinite(t), phi, math.nan)
 
 
-def phi_policy_gamma(point) -> float:
-    """``gamma`` at one ground point."""
-    return float(gamma(*point))
-
-
-def phi_policy_h(point, scene: ScenePlacement) -> float:
-    """``hcontrol`` at one ground point; raises where it is undefined."""
-    phi = float(hcontrol(*point, scene))
-    if math.isnan(phi):
-        raise ValueError("centre bandwidth along e_z vanished; orientation ratio undefined")
-    return phi
-
-
 def _policy_label(policy) -> str:
     if isinstance(policy, str):
         if policy not in ("gamma", "hcontrol"):
             raise ValueError(f"unknown policy {policy!r}")
         return policy
-    phi = float(policy)
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"fixed orientation angle phi must lie in [0, pi], got {phi!r}")
-    return f"fixed({phi:g})"
+    return f"fixed({_check_phi(policy):g})"
 
 
 def _evaluate(scene: ScenePlacement, policy, x, y):
@@ -215,11 +197,3 @@ def k_map(
     values = np.reshape([k for k, _ in points], xs.shape)
     status = np.reshape([s for _, s in points], xs.shape)
     return KMap(grid, values, label, status)
-
-
-def kmap_rows(kmap: KMap):
-    """Yield ``(x, y, k)`` rows in row-major grid order."""
-    xs, ys = kmap.grid.xs, kmap.grid.ys
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            yield float(x), float(y), float(kmap.values[i, j])

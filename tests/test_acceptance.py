@@ -20,8 +20,6 @@ from losdof import (
     k_number,
     ncsmr_boundary,
     normalized_spectrum,
-    phi_policy_gamma,
-    phi_policy_h,
     r0_threshold,
     rz_boresight,
     singular_spectrum,
@@ -31,6 +29,7 @@ from losdof import (
 )
 from losdof.bandwidth import _AXIS_FORMS, _axis_extrema
 from losdof.dof import _reports
+from losdof.scenarios import gamma, hcontrol
 
 from helpers import axis_draw_errors, random_params
 
@@ -213,7 +212,7 @@ def test_criterion_9_scenario_invariances():
     ks = []
     for t in np.linspace(0.0, math.pi, 32):
         x, y = radius * math.cos(t), radius * math.sin(t)
-        ks.append(_scenario_k(vertical, x, y, phi_policy_gamma((x, y))))
+        ks.append(_scenario_k(vertical, x, y, float(gamma(x, y))))
     spread = max(ks) - min(ks)
 
     horizontal = ScenePlacement("horizontal", L, 200.0, (0.0, 0.0), 40.0)
@@ -240,7 +239,7 @@ def test_criterion_9_scenario_invariances():
     assert len(points) == 20
     worst_gap = -math.inf
     for x, y in points:
-        k_controlled = _scenario_k(horizontal, x, y, phi_policy_h((x, y), horizontal))
+        k_controlled = _scenario_k(horizontal, x, y, float(hcontrol(x, y, horizontal)))
         k_scan = max(
             _scenario_k(horizontal, x, y, phi) for phi in np.linspace(0.0, math.pi, 64)
         )

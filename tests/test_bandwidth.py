@@ -78,10 +78,11 @@ class TestPointwiseForms:
         L, r = 400.0, 500.0
         theta = math.acos(L / (2 * r))
         p = AssemblyParams(L, 20.0, r, theta)
-        assert p.B == pytest.approx(0.0, abs=1e-9)
+        near, far = abs(p.c) - L / 2, abs(p.c) + L / 2
+        assert near == pytest.approx(0.0, abs=1e-9)
         xs = np.linspace(-10, 20, 7)
-        inside = 1.0 - direction_cosine(xs + p.d, p.A)
-        outside = direction_cosine(xs + p.d, max(p.B, 1e-300)) - direction_cosine(xs + p.d, p.A)
+        inside = 1.0 - direction_cosine(xs + p.d, far)
+        outside = direction_cosine(xs + p.d, max(near, 1e-300)) - direction_cosine(xs + p.d, far)
         assert np.allclose(inside, outside, atol=1e-10)
 
     # The mirror angle pi - theta is itself rounded to the nearest float, so
@@ -212,6 +213,15 @@ class TestGenericDirection:
         with pytest.raises(ValueError):
             bandwidth_generic(0.0, (1.0, 1.0, 0.0), p)
 
+    @pytest.mark.parametrize("v", [(1.0 + 1e-10, 0.0, 0.0), (math.nan, 0.0, 0.0)])
+    def test_unit_rule_shared_with_receive_direction(self, v):
+        # one rule: a vector ReceiveDirection (so k_number) rejects is rejected here too
+        p = AssemblyParams(400.0, 20.0, 700.0, 1.0)
+        with pytest.raises(ValueError, match="unit norm"):
+            ReceiveDirection.generic(v)
+        with pytest.raises(ValueError, match="unit norm"):
+            bandwidth_generic(0.0, v, p)
+
     def test_random_draw_agreement(self):
         rng = np.random.default_rng(11)
         fns = {"z": bandwidth_z, "x": bandwidth_x, "y": bandwidth_y}
@@ -254,8 +264,9 @@ class TestExtrema:
         # projection inside and d >= rho: both extrema at the interval ends
         p = AssemblyParams(400.0, 20.0, 300.0, math.pi / 2)
         s = extrema_x(p)
-        assert s.w_max == pytest.approx(1.0 - direction_cosine(p.d - 20.0, p.A), abs=1e-15)
-        assert s.w_min == pytest.approx(1.0 - direction_cosine(p.d + 20.0, p.A), abs=1e-15)
+        far = abs(p.c) + 200.0
+        assert s.w_max == pytest.approx(1.0 - direction_cosine(p.d - 20.0, far), abs=1e-15)
+        assert s.w_min == pytest.approx(1.0 - direction_cosine(p.d + 20.0, far), abs=1e-15)
 
     def test_x0_direct_substitution(self):
         # frozen arithmetic: a=2, b=1, d=0.5
@@ -268,7 +279,7 @@ class TestExtrema:
         # steep oblique geometry: the stationary coordinate falls inside the
         # interval and the minimum is the smaller of the two interval ends
         p = AssemblyParams(38.156, 29.389, 157.212, 2.5035)
-        assert not p.projection_inside
+        assert abs(p.c) > p.L / 2  # the centre projects beyond the source
         s = extrema_x(p)
         lo, hi = s.effective_interval
         assert lo < s.argmax_location < hi

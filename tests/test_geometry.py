@@ -11,7 +11,6 @@ from losdof import (
     ScenePlacement,
     arctan_star,
     horizontal_scene_to_local,
-    sign_star,
     vertical_scene_to_local,
 )
 
@@ -47,26 +46,11 @@ class TestArctanStar:
         assert arctan_star(-1e15) == pytest.approx(math.pi / 2, abs=1e-14)
 
 
-class TestSignStar:
-    @pytest.mark.parametrize(
-        "value,expected", [(0.0, 0), (-0.0, 0), (-3.2, -1), (1e-300, 1), (7.0, 1)]
-    )
-    def test_three_way(self, value, expected):
-        assert sign_star(value) == expected
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            sign_star(math.inf)
-
-
 class TestAssemblyParams:
     def test_derived_quantities(self):
         p = AssemblyParams(400, 20, 100, math.pi / 3)
         assert p.d == pytest.approx(100 * math.sin(math.pi / 3))
-        assert p.a == pytest.approx(100 * math.cos(math.pi / 3) + 200)
-        assert p.b == pytest.approx(100 * math.cos(math.pi / 3) - 200)
-        assert p.a > p.b and p.A > p.B
-        assert p.A > 0
+        assert p.c == pytest.approx(100 * math.cos(math.pi / 3))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,10 +69,10 @@ class TestAssemblyParams:
     @given(theta=st.floats(0.0, math.pi))
     @settings(max_examples=50, deadline=None)
     def test_end_offsets_ordered(self, theta):
+        # (d, c) is the centre offset of length r, d on the receive side of the axis
         p = AssemblyParams(123.0, 4.5, 67.8, theta)
-        assert p.a > p.b
-        assert p.A > p.B
         assert p.d >= 0
+        assert math.hypot(p.d, p.c) == pytest.approx(p.r, rel=1e-14)
 
 
 class TestReceiveDirection:
