@@ -217,10 +217,12 @@ def _sidecar_path(output: str) -> str:
 def cmd_scenario_map(o) -> int:
     if o.policy == "hcontrol" and o.mode != "horizontal":
         raise ValueError("--policy hcontrol needs --mode horizontal")
-    scene = ScenePlacement(o.mode, o.source_length, o.source_height, (0.0, 0.0), o.receive_length)
+    if o.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {o.threads}")
+    scene = ScenePlacement(o.mode, o.source_length, o.source_height, o.receive_length)
     policy = o.phi if o.policy == "fixed" else o.policy
     grid = GroundGrid((o.x_min, o.x_max, o.x_steps), (o.y_min, o.y_max, o.y_steps))
-    result = k_map(scene, policy, grid, workers=o.threads)
+    result = k_map(scene, policy, grid)
     xs, ys = np.meshgrid(grid.xs * o.wavelength, grid.ys * o.wavelength, indexing="ij")
     write_csv(o.output, "x,y,k", (xs.ravel(), ys.ravel(), result.values.ravel()))
     envelope = {

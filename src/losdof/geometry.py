@@ -169,14 +169,14 @@ class ScenePlacement:
     ``mode`` selects the source alignment: ``"vertical"`` keeps the source
     along the vertical axis through the world origin, ``"horizontal"`` lays
     it along the ground-parallel x'' axis at height ``source_height``.  The
-    receive array lies on the ground at ``rx_center = (x'', y'')`` with
-    ``y'' >= 0`` (the other half-plane is its mirror image).
+    receive array lies on the ground; its centre ``(x'', y'')``, with
+    ``y'' >= 0`` (the other half-plane is its mirror image), is given to
+    each transform rather than stored here.
     """
 
     mode: str
     source_length: float
     source_height: float
-    rx_center: tuple[float, float]
     receive_length: float
 
     def __post_init__(self):
@@ -193,10 +193,6 @@ class ScenePlacement:
                 "vertical placement needs source_height > source_length/2 "
                 "so the array stays above the ground"
             )
-        x, y = (float(c) for c in self.rx_center)
-        if y < 0:
-            raise ValueError("rx_center must lie in the y'' >= 0 half-plane")
-        object.__setattr__(self, "rx_center", (x, y))
 
 
 @dataclass(frozen=True)
@@ -245,10 +241,8 @@ def gamma(x, y):
     At the origin the azimuth is undefined and 0 is returned; every
     orientation is equivalent there by symmetry.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    r1 = np.hypot(x, y)
-    with np.errstate(all="ignore"):
-        return np.where(r1 == 0.0, 0.0, np.arccos(np.clip(x / r1, -1.0, 1.0)))
+    # + 0.0 turns y = -0.0 into +0.0, so the azimuth stays in [0, pi].
+    return np.arctan2(np.asarray(y, dtype=float) + 0.0, np.asarray(x, dtype=float))
 
 
 def scene_to_local(mode: str, source_height: float, x, y, phi):
@@ -256,77 +250,76 @@ def scene_to_local(mode: str, source_height: float, x, y, phi):
 
     For receive centres ``(x, y)`` on the ground (``y >= 0``) under a source
     placed in ``mode`` at ``source_height``, and ground orientation angles
-    ``phi`` in ``[0, pi]`` (not checked here), returns ``(r, theta, v_hat,
-    angle)``: the centre distance and polar angle of the local assembly,
-    the receive-array orientation in receiving coordinates (last axis of
-    length 3) and the in-scene reference angle (``gamma`` for the vertical
-    placement, ``psi`` for the horizontal one).  ``x``, ``y`` and ``phi``
-    broadcast.  See ``vertical_scene_to_local`` and
-    ``horizontal_scene_to_local`` for the two placements.
+    ``phi`` in ``[0, pi]`` (not checked here), returns ``(d, c, v_hat,
+    angle)``: the distance of the receive centre from the source axis, its
+    axial offset from the source centre, the receive-array orientation in
+    receiving coordinates (last axis of length 3) and the in-scene
+    reference angle (``gamma`` for the vertical placement, ``psi`` for the
+    horizontal one).  ``x``, ``y`` and ``phi`` broadcast.  The frame is read
+    straight off the ground coordinates: ``(d, c) = (hypot(x, y), height)``
+    for the vertical placement and ``(hypot(y, height), x)`` for the
+    horizontal one.
     """
     x, y, phi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, y, phi)))
     if mode == "vertical":
-        r1 = np.hypot(x, y)
+        d, c = np.hypot(x, y), np.full_like(x, source_height)
         angle = gamma(x, y)
-        # arctan_star(r1 / height), evaluated overflow-safely.
-        theta = np.arctan2(r1, source_height)
-        r = np.hypot(r1, source_height)
         delta = phi - angle
         v_hat = np.stack([np.cos(delta), -np.sin(delta), np.zeros_like(delta)], axis=-1)
     elif mode == "horizontal":
-        r2 = np.hypot(y, source_height)
-        # arctan_star of an infinite ratio: the receive centre sits in the
-        # boresight plane of the source, theta = pi/2 exactly.  Off that plane
-        # atan2 evaluates arctan_star(r2 / x) without overflow (r2 > 0).
-        theta = np.where(x == 0.0, 0.5 * math.pi, np.arctan2(r2, x))
-        angle = np.arccos(np.clip(y / r2, -1.0, 1.0))
-        r = np.hypot(x, r2)
+        d, c = np.hypot(y, source_height), x
+        angle = np.arctan2(source_height, y)
         sin_phi = np.sin(phi)
-        v_hat = np.stack([sin_phi * np.cos(angle), sin_phi * np.sin(angle), np.cos(phi)],
+        v_hat = np.stack([sin_phi * (y / d), sin_phi * (source_height / d), np.cos(phi)],
                          axis=-1)
     else:
         raise ValueError(f"mode must be 'vertical' or 'horizontal', got {mode!r}")
-    return r, theta, v_hat, angle
+    return d, c, v_hat, angle
 
 
-def _scene_frame(scene: ScenePlacement, mode: str, phi: float) -> LocalFrame:
+def _scene_frame(scene: ScenePlacement, mode: str, x: float, y: float, phi: float) -> LocalFrame:
     if scene.mode != mode:
         raise ValueError(f"{mode}_scene_to_local requires a {mode}-mode scene")
-    x, y = scene.rx_center
-    r, theta, v_hat, angle = scene_to_local(mode, scene.source_height, x, y, _check_phi(phi))
+    x, y = float(x), float(y)
+    if y < 0:
+        raise ValueError("the receive centre must lie in the y'' >= 0 half-plane")
+    d, c, v_hat, angle = scene_to_local(mode, scene.source_height, x, y, _check_phi(phi))
     lr = scene.receive_length
     # Only a vertical placement's v_y can be negative: phi in [0, pi] and y >= 0
     # keep sin(phi), cos(psi) and sin(psi) non-negative.
-    projections = tuple(float(c) for c in lr * np.abs(v_hat))
-    params = AssemblyParams(scene.source_length, 0.5 * lr, float(r), float(theta))
+    projections = tuple(float(p) for p in lr * np.abs(v_hat))
+    params = AssemblyParams(scene.source_length, 0.5 * lr, float(np.hypot(d, c)),
+                            float(np.arctan2(d, c)))
     direction = ReceiveDirection.generic(v_hat)
     degenerate = mode == "vertical" and x == 0.0 and y == 0.0
     return LocalFrame(params, direction, float(angle), projections, degenerate)
 
 
-def vertical_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
-    """Local assembly for a vertically placed source and ground receive array.
+def vertical_scene_to_local(scene: ScenePlacement, x: float, y: float, phi: float) -> LocalFrame:
+    """Local assembly for a vertically placed source and a ground receive array at ``(x, y)``.
 
     ``phi`` is the receive-array orientation angle on the ground, measured
-    from the x'' axis.  Returns the local frame with ``angle = gamma``, the
-    azimuth of the receive centre.  The receive array is horizontal, so its
-    projection on ``e_z`` is zero and its receiving-frame orientation is
-    ``(cos(phi - gamma), -sin(phi - gamma), 0)``.
+    from the x'' axis, and ``y`` must be non-negative.  Returns the local
+    frame with ``angle = gamma``, the azimuth of the receive centre.  The
+    receive array is horizontal, so its projection on ``e_z`` is zero and
+    its receiving-frame orientation is ``(cos(phi - gamma), -sin(phi -
+    gamma), 0)``.
 
     At the ground point directly below the source (``r1 = 0``) the azimuth is
     undefined; ``gamma = 0`` is used by convention and the result is flagged
     degenerate (all orientations are equivalent there by symmetry).
     """
-    return _scene_frame(scene, "vertical", phi)
+    return _scene_frame(scene, "vertical", x, y, phi)
 
 
-def horizontal_scene_to_local(scene: ScenePlacement, phi: float) -> LocalFrame:
-    """Local assembly for a horizontally placed source and ground receive array.
+def horizontal_scene_to_local(scene: ScenePlacement, x: float, y: float, phi: float) -> LocalFrame:
+    """Local assembly for a horizontally placed source and a ground receive array at ``(x, y)``.
 
     ``phi`` is the receive-array orientation angle on the ground, measured
-    from the x'' axis (the source direction).  Returns the local frame with
-    ``angle = psi``, the tilt of the receiving ``e_x`` axis against the
-    ground; the receiving-frame orientation of the receive array is
-    ``(sin(phi) cos(psi), sin(phi) sin(psi), cos(phi))``.
+    from the x'' axis (the source direction), and ``y`` must be
+    non-negative.  Returns the local frame with ``angle = psi``, the tilt of
+    the receiving ``e_x`` axis against the ground; the receiving-frame
+    orientation of the receive array is ``(sin(phi) cos(psi), sin(phi)
+    sin(psi), cos(phi))``.
     """
-    return _scene_frame(scene, "horizontal", phi)
+    return _scene_frame(scene, "horizontal", x, y, phi)

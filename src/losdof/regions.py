@@ -136,7 +136,7 @@ def _evaluate(g, theta, r) -> np.ndarray:
 
 
 def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
-                     maxiter: int = 100) -> np.ndarray:
+                     maxiter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Roots of many bracketed functions in one vectorised solve (Chandrupatla).
 
     Bracket ``i`` is ``[a[i], b[i]]`` with end values ``fa[i]``, ``fb[i]``
@@ -148,13 +148,15 @@ def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
     linearly.  A bracket closes when ``f`` is exactly 0 or its width is
     below ``xtol + rtol*|x|`` (brentq's test), and gives its point of least
     ``|f|``.  A bracket without a sign change, or one where ``f`` turns NaN,
-    gives NaN.
+    gives NaN.  Returns ``(roots, values)``, ``values`` being ``f`` at each
+    root (NaN where the root is NaN).
     """
     a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    values = np.where(np.isnan(roots), np.nan, 0.0)
     index = np.flatnonzero(fa * fb < 0.0)
     a, b, fa, fb = a[index], b[index], fa[index], fb[index]
-    c, fc, x = b, fb, b
+    c, fc, x, fx = b, fb, b, fb
     t = fa / (fa - fb)
     with np.errstate(all="ignore"):
         for _ in range(maxiter):
@@ -174,16 +176,17 @@ def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
             done = (fx == 0.0) | (t_min > 0.5) | nan
             if done.any():
                 roots[index[done]] = np.where(nan, np.nan, x)[done]
-                index, a, b, c, fa, fb, fc, x, t_min = (
-                    v[~done] for v in (index, a, b, c, fa, fb, fc, x, t_min))
+                values[index[done]] = np.where(nan, np.nan, fx)[done]
+                index, a, b, c, fa, fb, fc, x, fx, t_min = (
+                    v[~done] for v in (index, a, b, c, fa, fb, fc, x, fx, t_min))
             xi = (a - b) / (c - b)
             phi = (fa - fb) / (fc - fb)
             t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
                          fa / (fb - fa) * fc / (fb - fc)
                          + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb), 0.5)
             t = np.minimum(np.maximum(t, t_min), 1.0 - t_min)
-    roots[index] = x
-    return roots
+    roots[index], values[index] = x, fx
+    return roots, values
 
 
 def _roots(g, theta: np.ndarray, grid: np.ndarray, outermost: bool) -> list[tuple]:
@@ -215,8 +218,8 @@ def _roots(g, theta: np.ndarray, grid: np.ndarray, outermost: bool) -> list[tupl
         radii, values = grid[block].ravel(), values.ravel()
         brackets.append((start + rows, radii[at], radii[up], values[at], values[up]))
     rows, a, b, fa, fb = (np.concatenate(v) for v in zip(*brackets))
-    roots = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
-    keep = np.abs(_evaluate(g, theta[rows], roots)) <= RESIDUAL_TOL
+    roots, values = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
+    keep = np.abs(values) <= RESIDUAL_TOL
     rows, roots = rows[keep], roots[keep].tolist()
     # Rows come in order, the roots of each from the top down.
     ends = np.searchsorted(rows, np.arange(len(theta) + 1)).tolist()

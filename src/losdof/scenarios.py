@@ -16,10 +16,12 @@ policies:
     the array and both frequency extremes come from the same source ends
     (``r |cos(theta)| > L/2``).
 
-The policies, the local frames (``geometry.scene_to_local``) and the exact
-K numbers (``dof.k_exact``, the generic-direction closed form, so tilted
-orientations pick up every direction's contribution) are array functions of
-the ground position.  Each map point carries a status: ``"ok"``,
+The policies, the local frames and the exact K numbers are array functions
+of the ground position.  ``geometry.scene_to_local`` reads each point's
+distance ``d`` from the source axis and axial offset ``c`` straight off the
+ground coordinates, and ``dof.k_exact`` (the generic-direction closed form,
+so tilted orientations pick up every direction's contribution) takes them
+as they are.  Each map point carries a status: ``"ok"``,
 ``"excluded"`` (closer than ``EXCLUSION_RADIUS`` to the source centre) or
 ``"failed"`` (the policy's angle or the K number is undefined there).
 """
@@ -130,8 +132,7 @@ def hcontrol(x, y, scene: ScenePlacement):
     if scene.mode != "horizontal":
         raise ValueError("the hcontrol orientation applies to horizontal-mode scenes")
     x = np.asarray(x, dtype=float)
-    r, theta, _, psi = scene_to_local("horizontal", scene.source_height, x, y, 0.0)
-    d, c = r * np.sin(theta), r * np.cos(theta)
+    d, c, _, psi = scene_to_local("horizontal", scene.source_height, x, y, 0.0)
     w_z0 = axis_bandwidth("z", 0.0, d, c, scene.source_length)
     w_x0 = axis_bandwidth("x", 0.0, d, c, scene.source_length)
     with np.errstate(all="ignore"):
@@ -159,10 +160,10 @@ def _evaluate(scene: ScenePlacement, policy, x, y):
         phi = hcontrol(x, y, scene)
     else:
         phi = float(policy)
-    r, theta, v_hat, _ = scene_to_local(scene.mode, scene.source_height, x, y, phi)
+    d, c, v_hat, _ = scene_to_local(scene.mode, scene.source_height, x, y, phi)
     rho = 0.5 * scene.receive_length
-    k = k_exact(r * np.sin(theta), r * np.cos(theta), scene.source_length, v_hat, -rho, rho)
-    excluded = r < EXCLUSION_RADIUS
+    k = k_exact(d, c, scene.source_length, v_hat, -rho, rho)
+    excluded = np.hypot(d, c) < EXCLUSION_RADIUS
     ok = ~excluded & np.isfinite(k)
     status = np.where(excluded, "excluded", np.where(ok, "ok", "failed"))
     return np.where(ok, k, math.nan), status
@@ -174,23 +175,14 @@ def k_map_point(scene: ScenePlacement, policy, x: float, y: float) -> float:
     return float(_evaluate(scene, policy, x, y)[0])
 
 
-def k_map(
-    scene: ScenePlacement,
-    policy,
-    grid: GroundGrid,
-    workers: int = 1,
-) -> KMap:
+def k_map(scene: ScenePlacement, policy, grid: GroundGrid) -> KMap:
     """K-number map over a ground grid under an orientation policy.
 
     ``policy`` is a fixed orientation angle (float, radians, in ``[0, pi]``),
     ``"gamma"``, or ``"hcontrol"`` (horizontal scenes only; every point of
     another scene fails).  Each point's K number is exact (closed form).
-    The map is computed in this process, so ``workers`` (at least 1)
-    changes nothing; it stays for callers that pass it.
     """
     label = _policy_label(policy)
-    if int(workers) < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
     # One point at a time for now; ROADMAP.md ("Maps") has the one-call version.
     xs, ys = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     points = [_evaluate(scene, policy, x, y) for x, y in zip(xs.flat, ys.flat)]

@@ -198,16 +198,12 @@ def _scenario_k(scene: ScenePlacement, x: float, y: float, phi: float) -> float:
     transform = (
         vertical_scene_to_local if scene.mode == "vertical" else horizontal_scene_to_local
     )
-    frame = transform(
-        ScenePlacement(scene.mode, scene.source_length, scene.source_height,
-                       (x, y), scene.receive_length),
-        phi,
-    )
+    frame = transform(scene, x, y, phi)
     return k_number(frame.params, frame.direction).k_exact
 
 
 def test_criterion_9_scenario_invariances():
-    vertical = ScenePlacement("vertical", L, 400.0, (0.0, 0.0), 40.0)
+    vertical = ScenePlacement("vertical", L, 400.0, 40.0)
     radius = 500.0
     ks = []
     for t in np.linspace(0.0, math.pi, 32):
@@ -215,7 +211,7 @@ def test_criterion_9_scenario_invariances():
         ks.append(_scenario_k(vertical, x, y, float(gamma(x, y))))
     spread = max(ks) - min(ks)
 
-    horizontal = ScenePlacement("horizontal", L, 200.0, (0.0, 0.0), 40.0)
+    horizontal = ScenePlacement("horizontal", L, 200.0, 40.0)
     points = []
     for rad in (700.0, 900.0, 1100.0, 1300.0):
         for ang in np.linspace(0.1, math.pi - 0.1, 10):

@@ -13,6 +13,7 @@ from losdof import (
     horizontal_scene_to_local,
     vertical_scene_to_local,
 )
+from losdof.geometry import scene_to_local
 
 
 class TestArctanStar:
@@ -92,30 +93,45 @@ class TestReceiveDirection:
             ReceiveDirection.generic((1.0, 2.0, 3.0))
 
 
+VERTICAL = ScenePlacement("vertical", 400.0, 400.0, 40.0)
+HORIZONTAL = ScenePlacement("horizontal", 400.0, 200.0, 40.0)
+
+
 class TestScenePlacement:
     def test_vertical_must_clear_ground(self):
         with pytest.raises(ValueError):
-            ScenePlacement("vertical", 400, 150, (10, 10), 40)
+            ScenePlacement("vertical", 400, 150, 40)
 
     def test_half_plane(self):
         with pytest.raises(ValueError):
-            ScenePlacement("vertical", 400, 400, (10, -1), 40)
+            vertical_scene_to_local(VERTICAL, 10, -1, 0.0)
+        with pytest.raises(ValueError):
+            horizontal_scene_to_local(HORIZONTAL, 10, -1e-300, 0.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            ScenePlacement("tilted", 400, 400, (10, 10), 40)
+            ScenePlacement("tilted", 400, 400, 40)
+
+
+class TestSceneToLocal:
+    # the frame is read straight off the ground coordinates, bit for bit
+    X = np.array([-2000.0, -0.0, 0.0, 3.0, 1e-7, 1234.5678])
+    Y = np.array([0.0, 0.0, 5.0, 4.0, 2000.0, 0.1])
+
+    def test_vertical_frame_is_exact(self):
+        d, c, _, _ = scene_to_local("vertical", 400.0, self.X, self.Y, 0.3)
+        assert np.array_equal(c, np.full(self.X.shape, 400.0))
+        assert np.array_equal(d, np.hypot(self.X, self.Y))
+
+    def test_horizontal_frame_is_exact(self):
+        d, c, _, _ = scene_to_local("horizontal", 200.0, self.X, self.Y, 0.3)
+        assert np.array_equal(c, self.X)
+        assert np.array_equal(d, np.hypot(self.Y, 200.0))
 
 
 class TestVerticalTransform:
-    SCENE = dict(source_length=400.0, source_height=400.0, receive_length=40.0)
-
-    def scene(self, x, y):
-        return ScenePlacement("vertical", self.SCENE["source_length"],
-                              self.SCENE["source_height"], (x, y),
-                              self.SCENE["receive_length"])
-
     def test_collinear_case(self):
-        frame = vertical_scene_to_local(self.scene(100, 0), phi=0.0)
+        frame = vertical_scene_to_local(VERTICAL, 100, 0, phi=0.0)
         assert frame.angle == pytest.approx(0.0, abs=1e-15)
         assert frame.params.theta == pytest.approx(math.atan(100 / 400))
         assert frame.projections[0] == pytest.approx(40.0)
@@ -123,28 +139,28 @@ class TestVerticalTransform:
         assert frame.projections[2] == 0.0
 
     def test_quarter_turn_symmetry(self):
-        frame = vertical_scene_to_local(self.scene(0, 100), phi=math.pi / 2)
+        frame = vertical_scene_to_local(VERTICAL, 0, 100, phi=math.pi / 2)
         assert frame.angle == pytest.approx(math.pi / 2)
         assert frame.projections[0] == pytest.approx(40.0)
 
     def test_3_4_5_triangle(self):
-        frame = vertical_scene_to_local(self.scene(3, 4), phi=0.0)
+        frame = vertical_scene_to_local(VERTICAL, 3, 4, phi=0.0)
         assert frame.angle == pytest.approx(math.acos(3 / 5))
         assert frame.params.r == pytest.approx(math.hypot(5, 400))
 
     def test_degenerate_origin_flagged(self):
-        frame = vertical_scene_to_local(self.scene(0, 0), phi=1.0)
+        frame = vertical_scene_to_local(VERTICAL, 0, 0, phi=1.0)
         assert frame.degenerate
         assert frame.angle == 0.0
 
     def test_rotation_invariance(self):
         # co-rotating the receive position and phi leaves (r, theta, phi-gamma) alone
-        base = vertical_scene_to_local(self.scene(300, 100), phi=0.7)
+        base = vertical_scene_to_local(VERTICAL, 300, 100, phi=0.7)
         alpha = 0.4
         x, y = 300.0, 100.0
         xr = x * math.cos(alpha) - y * math.sin(alpha)
         yr = x * math.sin(alpha) + y * math.cos(alpha)
-        rot = vertical_scene_to_local(self.scene(xr, yr), phi=0.7 + alpha)
+        rot = vertical_scene_to_local(VERTICAL, xr, yr, phi=0.7 + alpha)
         assert rot.params.r == pytest.approx(base.params.r, rel=1e-12)
         assert rot.params.theta == pytest.approx(base.params.theta, rel=1e-12)
         assert (0.7 + alpha) - rot.angle == pytest.approx(0.7 - base.angle, abs=1e-12)
@@ -157,22 +173,19 @@ class TestVerticalTransform:
     )
     @settings(max_examples=100, deadline=None)
     def test_projections_sum(self, x, y, phi):
-        frame = vertical_scene_to_local(self.scene(x, y), phi)
+        frame = vertical_scene_to_local(VERTICAL, x, y, phi)
         lx, ly, lz = frame.projections
         total = lx * lx + ly * ly + lz * lz
         assert total == pytest.approx(40.0 ** 2, rel=1e-10)
 
 
 class TestHorizontalTransform:
-    def scene(self, x, y):
-        return ScenePlacement("horizontal", 400.0, 200.0, (x, y), 40.0)
-
     def test_boresight_plane(self):
-        frame = horizontal_scene_to_local(self.scene(0, 123), phi=0.4)
+        frame = horizontal_scene_to_local(HORIZONTAL, 0, 123, phi=0.4)
         assert frame.params.theta == pytest.approx(math.pi / 2)
 
     def test_phi_zero_projects_onto_ez(self):
-        frame = horizontal_scene_to_local(self.scene(50, 70), phi=0.0)
+        frame = horizontal_scene_to_local(HORIZONTAL, 50, 70, phi=0.0)
         lx, ly, lz = frame.projections
         assert lz == pytest.approx(40.0)
         assert lx == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +193,7 @@ class TestHorizontalTransform:
 
     def test_ground_track_psi(self):
         # receiver on the x'' axis: the o-source plane is vertical, psi = pi/2
-        frame = horizontal_scene_to_local(self.scene(300, 0), phi=math.pi / 2)
+        frame = horizontal_scene_to_local(HORIZONTAL, 300, 0, phi=math.pi / 2)
         assert frame.angle == pytest.approx(math.pi / 2)
         lx, ly, lz = frame.projections
         assert lx == pytest.approx(0.0, abs=1e-12)
@@ -188,8 +201,8 @@ class TestHorizontalTransform:
 
     def test_theta_supplementary(self):
         for y in (0.0, 55.0, 400.0):
-            plus = horizontal_scene_to_local(self.scene(220.0, y), phi=0.2)
-            minus = horizontal_scene_to_local(self.scene(-220.0, y), phi=0.2)
+            plus = horizontal_scene_to_local(HORIZONTAL, 220.0, y, phi=0.2)
+            minus = horizontal_scene_to_local(HORIZONTAL, -220.0, y, phi=0.2)
             assert plus.params.theta + minus.params.theta == pytest.approx(math.pi, rel=1e-12)
 
     @given(
@@ -199,11 +212,11 @@ class TestHorizontalTransform:
     )
     @settings(max_examples=100, deadline=None)
     def test_projections_sum(self, x, y, phi):
-        frame = horizontal_scene_to_local(self.scene(x, y), phi)
+        frame = horizontal_scene_to_local(HORIZONTAL, x, y, phi)
         lx, ly, lz = frame.projections
         total = lx * lx + ly * ly + lz * lz
         assert total == pytest.approx(40.0 ** 2, rel=1e-10)
 
     def test_v_hat_is_unit(self):
-        frame = horizontal_scene_to_local(self.scene(123, 45), phi=1.1)
+        frame = horizontal_scene_to_local(HORIZONTAL, 123, 45, phi=1.1)
         assert np.linalg.norm(frame.direction.v) == pytest.approx(1.0, abs=1e-12)

@@ -300,7 +300,9 @@ class TestBracketedRoots:
             return f(x, i)
 
         index = np.arange(a.size)
-        return _bracketed_roots(counted, a, b, f(a, index), f(b, index), **tol), calls
+        roots, values = _bracketed_roots(counted, a, b, f(a, index), f(b, index), **tol)
+        np.testing.assert_array_equal(values, f(roots, index))
+        return roots, calls
 
     def test_one_call_per_step_serves_every_bracket(self):
         targets = np.linspace(0.5, 80.0, 300)

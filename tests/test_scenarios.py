@@ -19,17 +19,13 @@ from losdof.scenarios import EXCLUSION_RADIUS, gamma, hcontrol, k_map_point
 
 from helpers import world_k_number
 
-VERTICAL = ScenePlacement("vertical", 400.0, 400.0, (0.0, 0.0), 40.0)
-HORIZONTAL = ScenePlacement("horizontal", 400.0, 200.0, (0.0, 0.0), 40.0)
+VERTICAL = ScenePlacement("vertical", 400.0, 400.0, 40.0)
+HORIZONTAL = ScenePlacement("horizontal", 400.0, 200.0, 40.0)
 
 
 def k_at(scene, x, y, phi):
     transform = vertical_scene_to_local if scene.mode == "vertical" else horizontal_scene_to_local
-    frame = transform(
-        ScenePlacement(scene.mode, scene.source_length, scene.source_height,
-                       (x, y), scene.receive_length),
-        phi,
-    )
+    frame = transform(scene, x, y, phi)
     return k_number(frame.params, frame.direction).k_exact
 
 
@@ -43,6 +39,13 @@ class TestGammaPolicy:
 
     def test_origin_convention(self):
         assert float(gamma(0.0, 0.0)) == 0.0
+
+    def test_negative_zero_y_stays_in_range(self):
+        assert float(gamma(-1.0, -0.0)) == math.pi
+
+    @pytest.mark.parametrize("x, y", [(2500.0, 1e-4), (-2500.0, 1e-4), (1e3, 1e-9)])
+    def test_near_the_axis_matches_atan2(self, x, y):
+        assert abs(float(gamma(x, y)) - math.atan2(y, x)) <= 1e-15
 
 
 class TestHControlPolicy:
@@ -144,12 +147,6 @@ class TestKMap:
         values = k_map(VERTICAL, "hcontrol", grid).values
         assert np.all(np.isnan(values))
 
-    def test_workers_produce_identical_map(self):
-        grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 3))
-        serial = k_map(HORIZONTAL, "hcontrol", grid, workers=1)
-        parallel = k_map(HORIZONTAL, "hcontrol", grid, workers=2)
-        assert np.array_equal(serial.values, parallel.values, equal_nan=True)
-
     def test_unknown_policy_rejected(self):
         grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
         with pytest.raises(ValueError):
@@ -167,7 +164,7 @@ class TestKMapKernel:
     def test_excluded_points(self):
         # a short source low over the ground: the point below it is within
         # EXCLUSION_RADIUS of the source centre
-        scene = ScenePlacement("vertical", 1.0, 0.6, (0.0, 0.0), 2.0)
+        scene = ScenePlacement("vertical", 1.0, 0.6, 2.0)
         result = k_map(scene, "gamma", GroundGrid((-1.0, 1.0, 3), (0.0, 1.0, 2)))
         assert result.status[1, 0] == "excluded"
         assert np.isnan(result.values[1, 0])
@@ -178,11 +175,6 @@ class TestKMapKernel:
         grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
         with pytest.raises(ValueError):
             k_map(VERTICAL, phi, grid)
-
-    def test_workers_below_one_rejected(self):
-        grid = GroundGrid((-10.0, 10.0, 2), (0.0, 10.0, 2))
-        with pytest.raises(ValueError):
-            k_map(VERTICAL, "gamma", grid, workers=0)
 
     def test_point_is_one_point_map(self):
         grid = GroundGrid((-300.0, 300.0, 3), (0.0, 300.0, 2))
@@ -199,7 +191,7 @@ class TestKMapKernel:
             # hcontrol needs a horizontal scene; a vertical source must clear the ground
             policy = "gamma" if policy == "hcontrol" else policy
             height = max(height, 0.6 * L)
-        scene = ScenePlacement(mode, L, height, (0.0, 0.0), receive)
+        scene = ScenePlacement(mode, L, height, receive)
         grid = GroundGrid((-x, x, 4), (0.0, y, 3))
         result = k_map(scene, policy, grid)
         for i, gx in enumerate(grid.xs):
@@ -213,7 +205,7 @@ class TestKMapKernel:
                     phi = policy
                 transform = (vertical_scene_to_local if mode == "vertical"
                              else horizontal_scene_to_local)
-                r = transform(ScenePlacement(mode, L, height, point, receive), phi).params.r
+                r = transform(scene, *point, phi).params.r
                 if r < EXCLUSION_RADIUS:
                     assert np.isnan(result.values[i, j]) and result.status[i, j] == "excluded"
                 else:
@@ -261,7 +253,7 @@ class TestPinnedToPerPointCode:
         np.testing.assert_allclose(values, PINNED_MAPS[policy], rtol=0, atol=1e-12)
 
     def test_nan_mask(self):
-        scene = ScenePlacement("vertical", 1.0, 0.6, (0.0, 0.0), 2.0)
+        scene = ScenePlacement("vertical", 1.0, 0.6, 2.0)
         values = k_map(scene, "gamma", GroundGrid((-1.0, 1.0, 3), (0.0, 1.0, 2))).values
         np.testing.assert_allclose(values, PINNED_SMALL_SCENE, rtol=0, atol=1e-12)
 
