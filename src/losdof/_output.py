@@ -1,5 +1,6 @@
 """The one writer of every CSV and JSON output, for ``cli`` and ``channel``."""
 
+import json
 import os
 import stat
 import sys
@@ -20,6 +21,11 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON; a NaN or infinity raises ValueError and writes nothing."""
+    write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
-from .geometry import AssemblyParams, ReceiveDirection
+from .geometry import AssemblyParams, ReceiveDirection, _positive
 
 __all__ = [
     "ChannelSpec",
@@ -33,8 +33,7 @@ __all__ = [
 
 def antenna_counts(length: float, spacing: float) -> int:
     """Number of antennas on a uniformly sampled segment: ``1 + length/spacing``."""
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
+    spacing = _positive("spacing", spacing)
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length!r}")
     ratio = length / spacing
@@ -75,7 +74,7 @@ class ChannelSpec:
     delta_r: float
 
     def __post_init__(self):
-        # Validates divisibility on both arrays.
+        # Validates both spacings: positive, finite and dividing their array.
         antenna_counts(self.params.L, self.delta_s)
         antenna_counts(2.0 * self.params.rho, self.delta_r)
 
@@ -179,10 +178,7 @@ def nyquist_spacing(K: float, rho: float) -> float:
     A constant local bandwidth ``K / (2 rho)`` makes ``2 rho / K`` the
     critical sampling interval of the received field.
     """
-    if K <= 0:
-        raise ValueError(f"K must be positive, got {K!r}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
+    K, rho = _positive("K", K), _positive("rho", rho)
     return 2.0 * rho / K
 
 

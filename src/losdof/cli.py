@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from ._output import write_csv, write_text
+from ._output import write_csv, write_json
 from ._oracle import axis_draw_errors, generic_draw_errors, random_params, worst_error
 from .bandwidth import (  # bandwidth_generic and extrema unused; bench/tracing.py patches them here
     _AXIS_FORMS,
@@ -58,6 +58,7 @@ from .channel import (
 )
 from .dof import _reports, k_number
 from .geometry import FAR_FIELD_MIN_R, AssemblyParams, ReceiveDirection, ScenePlacement
+from .geometry import _polar, _positive
 from .regions import boundary_curve
 from .scenarios import GroundGrid, k_map
 
@@ -125,13 +126,6 @@ def resolve(args: argparse.Namespace, options) -> argparse.Namespace:
     return argparse.Namespace(**values)
 
 
-def _wavelength(text) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError(f"wavelength must be positive and finite, got {value!r}")
-    return value
-
-
 def _sidecar_output(text) -> str:
     # checked before any work: the JSON sidecar is named after the CSV path
     if str(text) == "-":
@@ -179,12 +173,13 @@ def cmd_k_number(o) -> int:
     # quadrature_abs_err is deprecated and always 0.0 (K is exact); it stays
     # one more release for readers of the JSON.
     payload = {**payload, "quadrature_abs_err": 0.0, "warnings": notes}
-    write_text(o.output, json.dumps(payload, indent=2) + "\n")
+    write_json(o.output, payload)
     return EXIT_OK
 
 
 def cmd_region_boundary(o) -> int:
-    grid = np.linspace(o.theta_min, o.theta_max, o.theta_steps)
+    grid = np.linspace(_polar("--theta-min", o.theta_min), _polar("--theta-max", o.theta_max),
+                       o.theta_steps)
     curve = boundary_curve(o.direction, o.kind, grid, o.source_length, o.rho, o.threshold)
     rows = [(theta, radius * o.wavelength, index)
             for theta, radii in curve.samples for index, radius in enumerate(radii)]
@@ -204,7 +199,7 @@ def cmd_channel_svd(o) -> int:
         channel_to_csv(H, o.matrix_csv)
     columns = (range(len(spectrum.sigmas)), spectrum.sigmas, maxnorm, sumnorm)
     write_csv(o.output, "index,sigma,sigma_maxnorm,sigma_sumnorm", columns)
-    write_text(_sidecar_path(o.output), json.dumps(sidecar, indent=2) + "\n")
+    write_json(_sidecar_path(o.output), sidecar)
     return EXIT_OK
 
 
@@ -236,7 +231,7 @@ def cmd_scenario_map(o) -> int:
         "rows": int(grid.x_range[2] * grid.y_range[2]),
         "status_counts": result.status_counts,
     }
-    write_text(_sidecar_path(o.output), json.dumps(envelope, indent=2) + "\n")
+    write_json(_sidecar_path(o.output), envelope)
     return EXIT_OK
 
 
@@ -288,7 +283,7 @@ AXES = ("x", "y", "z")
 CONFIG = Option("config", str, None, "JSON file supplying defaults for any option")
 UNITS = (
     CONFIG,
-    Option("wavelength", _wavelength, 1.0,
+    Option("wavelength", functools.partial(_positive, "wavelength"), 1.0,
            "wavelength in metres; lengths are then read/written in metres"),
     Option("degrees", bool, False, "interpret input angles as degrees"),
 )

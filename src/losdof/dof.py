@@ -34,7 +34,7 @@ from .bandwidth import (
     bandwidth_z,
     extrema,
 )
-from .geometry import AssemblyParams, ReceiveDirection
+from .geometry import AssemblyParams, ReceiveDirection, _positive
 
 __all__ = [
     "FarFieldWarning",
@@ -252,8 +252,7 @@ def k_parallel(source_length: float, receive_length: float, distance: float) -> 
     distance dominates both array lengths; a validity warning is emitted
     below ten times the larger length.
     """
-    if distance <= 0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
+    distance = _positive("distance", distance)
     if distance < 10.0 * max(source_length, receive_length):
         warnings.warn(
             "parallel-array formula applied outside its validity regime "

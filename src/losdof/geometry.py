@@ -46,6 +46,26 @@ _UNIT_TOL = 1e-12
 FAR_FIELD_MIN_R = 10.0
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; it must lie in ``(0, inf)``, so NaN fails too."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _polar(name: str, value):
+    """``value`` (a scalar as a float) if it lies in ``[0, pi]``, elementwise for an array."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        outside = value[~((0.0 <= value) & (value <= math.pi))]
+    else:
+        value = float(value)
+        outside = () if 0.0 <= value <= math.pi else (value,)
+    if len(outside):
+        raise ValueError(f"{name} must lie in [0, pi], got {float(outside[0])!r}")
+    return value
+
+
 def _as_unit_tuple(v) -> tuple[float, float, float]:
     vx, vy, vz = (float(c) for c in v)
     norm = math.sqrt(vx * vx + vy * vy + vz * vz)
@@ -61,18 +81,18 @@ class AssemblyParams:
     Parameters
     ----------
     L : float
-        Source array length (wavelengths, > 0).
+        Source array length (wavelengths, positive and finite).
     rho : float
-        Receive array half-length (wavelengths, > 0); the array spans
-        ``[-rho, rho]`` along its orientation.
+        Receive array half-length (wavelengths, positive and finite); the
+        array spans ``[-rho, rho]`` along its orientation.
     r : float
-        Distance between the array centres (wavelengths, > 0).
+        Distance between the array centres (wavelengths, positive and finite).
     theta : float
         Polar angle of the receive centre from the source axis, in
         ``[0, pi]``.
 
-    The receive array's orientation is not part of the assembly; it is
-    given separately as a ``ReceiveDirection``.
+    Each is stored as a float.  The receive array's orientation is not part
+    of the assembly; it is given separately as a ``ReceiveDirection``.
     """
 
     L: float
@@ -81,19 +101,10 @@ class AssemblyParams:
     theta: float
 
     def __post_init__(self):
-        for name in ("L", "rho", "r", "theta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.L <= 0:
-            raise ValueError(f"source length L must be positive, got {self.L!r}")
-        if self.rho <= 0:
-            raise ValueError(f"receive half-length rho must be positive, got {self.rho!r}")
-        if self.r <= 0:
-            raise ValueError(f"centre distance r must be positive, got {self.r!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
+        object.__setattr__(self, "L", _positive("source length L", self.L))
+        object.__setattr__(self, "rho", _positive("receive half-length rho", self.rho))
+        object.__setattr__(self, "r", _positive("centre distance r", self.r))
+        object.__setattr__(self, "theta", _polar("theta", self.theta))
 
     # Derived quantities used throughout the bandwidth closed forms.
     @property
@@ -171,7 +182,8 @@ class ScenePlacement:
     it along the ground-parallel x'' axis at height ``source_height``.  The
     receive array lies on the ground; its centre ``(x'', y'')``, with
     ``y'' >= 0`` (the other half-plane is its mirror image), is given to
-    each transform rather than stored here.
+    each transform rather than stored here.  The three lengths must be
+    positive and finite; they are stored as floats.
     """
 
     mode: str
@@ -182,12 +194,8 @@ class ScenePlacement:
     def __post_init__(self):
         if self.mode not in ("vertical", "horizontal"):
             raise ValueError(f"mode must be 'vertical' or 'horizontal', got {self.mode!r}")
-        if self.source_length <= 0:
-            raise ValueError("source_length must be positive")
-        if self.receive_length <= 0:
-            raise ValueError("receive_length must be positive")
-        if self.source_height <= 0:
-            raise ValueError("source_height must be positive")
+        for name in ("source_length", "source_height", "receive_length"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if self.mode == "vertical" and self.source_height <= 0.5 * self.source_length:
             raise ValueError(
                 "vertical placement needs source_height > source_length/2 "
@@ -226,13 +234,6 @@ def arctan_star(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"arctan_star requires a finite argument, got {x!r}")
     return (math.pi if x < 0 else 0.0) + math.atan(x)
-
-
-def _check_phi(phi: float) -> float:
-    phi = float(phi)
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"orientation angle phi must lie in [0, pi], got {phi!r}")
-    return phi
 
 
 def gamma(x, y):
@@ -280,10 +281,10 @@ def scene_to_local(mode: str, source_height: float, x, y, phi):
 def _scene_frame(scene: ScenePlacement, mode: str, x: float, y: float, phi: float) -> LocalFrame:
     if scene.mode != mode:
         raise ValueError(f"{mode}_scene_to_local requires a {mode}-mode scene")
-    x, y = float(x), float(y)
+    x, y, phi = float(x), float(y), _polar("orientation angle phi", phi)
     if y < 0:
         raise ValueError("the receive centre must lie in the y'' >= 0 half-plane")
-    d, c, v_hat, angle = scene_to_local(mode, scene.source_height, x, y, _check_phi(phi))
+    d, c, v_hat, angle = scene_to_local(mode, scene.source_height, x, y, phi)
     lr = scene.receive_length
     # Only a vertical placement's v_y can be negative: phi in [0, pi] and y >= 0
     # keep sin(phi), cos(psi) and sin(psi) non-negative.

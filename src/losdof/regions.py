@@ -20,9 +20,9 @@ bracket of every angle on the same kernel.  The kinds differ only in their
 grid and in keeping a row's outermost root or all of them.  ``smr_boundary``,
 ``smr_boundary_y`` and ``ncsmr_boundary`` are its one-angle calls.  Nothing
 here warns or sets a warning filter, probes below ten wavelengths included,
-so the module is safe to call from several threads.  Every solver checks
-that ``L``, ``rho`` and the threshold are positive and finite before it
-evaluates anything.
+so the module is safe to call from several threads.  Before it evaluates
+anything, every solver checks that ``L``, ``rho`` and the threshold are
+positive and finite and that its polar angles lie in ``[0, pi]`` and increase.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from scipy.optimize import brentq  # noqa: F401
 from .bandwidth import _axis_extrema
 # Unused here; kept because bench/tracing.py wraps these names.
 from .bandwidth import extrema_x, extrema_y, extrema_z  # noqa: F401
-from .geometry import ReceiveDirection
+from .geometry import ReceiveDirection, _polar, _positive
 
 __all__ = [
     "RegionCurve",
@@ -81,7 +81,7 @@ def r0_threshold(L: float, rho: float) -> R0Threshold:
     the short-array approximation ``2 rho L`` (which also follows from the
     parallel-array formula).
     """
-    _check_positive(L=L, rho=rho)
+    L, rho = _positive("L", L), _positive("rho", rho)
     approx = 2.0 * rho * L
     radicand = 4.0 * rho * rho - 0.25
     exact = L * math.sqrt(radicand) if radicand > 0 else None
@@ -94,7 +94,7 @@ def rz_boresight(L: float, rho: float, K0: float) -> float | None:
     Closed form ``L * sqrt(4 rho^2 / K0^2 - 1/4)``.  Returns None when
     ``K0`` is unreachable at any positive distance (radicand <= 0).
     """
-    _check_positive(L=L, rho=rho, K0=K0)
+    L, rho, K0 = _positive("L", L), _positive("rho", rho), _positive("K0", K0)
     radicand = 4.0 * rho * rho / (K0 * K0) - 0.25
     if radicand <= 0:
         return None
@@ -108,14 +108,16 @@ def fraunhofer(L: float) -> float:
     arrays at boresight; in general it does not imply multiplexing
     capability.
     """
-    _check_positive(L=L)
+    L = _positive("L", L)
     return L * L
 
 
-def _check_positive(**values: float):
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _theta_grid(theta) -> np.ndarray:
+    """The polar angles as an array; they must lie in ``[0, pi]`` and strictly increase."""
+    theta = _polar("theta", np.asarray(theta, dtype=float))
+    if np.any(theta[1:] <= theta[:-1]):
+        raise ValueError("theta samples must be strictly increasing")
+    return theta
 
 
 def _excess(tag: str, L: float, rho: float, target: float, spread: bool):
@@ -253,17 +255,17 @@ def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: fl
         raise ValueError(f"kind must be 'smr' or 'ncsmr', got {kind!r}")
     if tag == "y" and kind != "smr":
         raise ValueError("the e_y region is wholly non-constant-bandwidth; use kind='smr'")
-    _check_positive(L=L, rho=rho, **{"delta_k" if kind == "ncsmr" else "K0": threshold})
-    theta = np.asarray(theta, dtype=float)
+    # The thresholds of interest sit below the boresight maximum; scan down
+    # from comfortably beyond it.  r0_threshold checks L and rho.
+    r_hi = 4.0 * r0_threshold(L, rho).approx
+    threshold = _positive("delta_k" if kind == "ncsmr" else "K0", threshold)
+    theta = _theta_grid(theta)
     if kind == "ncsmr":
         g = _excess(_check_zx(tag), L, rho, threshold / rho, spread=True)
     elif tag == "y":
         g = _excess("y", L, rho, 2.0 * threshold / rho, spread=False)
     else:
         g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)
-    # The thresholds of interest sit below the boresight maximum; scan down
-    # from comfortably beyond it.
-    r_hi = 4.0 * r0_threshold(L, rho).approx
     if not r_hi < math.inf:
         raise ValueError(f"L * rho is too large: the scan start 8*rho*L overflows "
                          f"(L = {L!r}, rho = {rho!r})")
@@ -321,8 +323,12 @@ def ncsmr_boundary(
     return list(_curve_radii(_check_zx(direction), "ncsmr", [theta], L, rho, delta_k)[0])
 
 
+def _tag(direction) -> str:
+    return direction.tag if isinstance(direction, ReceiveDirection) else str(direction)
+
+
 def _check_zx(direction: str) -> str:
-    tag = direction.tag if isinstance(direction, ReceiveDirection) else str(direction)
+    tag = _tag(direction)
     if tag not in ("z", "x"):
         raise ValueError(f"direction must be 'z' or 'x', got {direction!r}")
     return tag
@@ -343,11 +349,7 @@ class RegionCurve:
     samples: list[tuple[float, tuple[float, ...]]]
 
     def __post_init__(self):
-        thetas = [t for t, _ in self.samples]
-        if any(t2 <= t1 for t1, t2 in zip(thetas, thetas[1:])):
-            raise ValueError("theta samples must be strictly increasing")
-        if thetas and not (0.0 <= thetas[0] and thetas[-1] <= math.pi):
-            raise ValueError("theta samples must lie within [0, pi]")
+        _theta_grid([t for t, _ in self.samples])
         if self.kind == "smr" and any(len(radii) > 1 for _, radii in self.samples):
             raise ValueError("multiplexing boundaries carry at most one radius per angle")
 
@@ -367,7 +369,7 @@ def boundary_curve(
     The e_y direction supports only ``"smr"``; its region is inherently
     non-constant-bandwidth.
     """
-    tag = direction.tag if isinstance(direction, ReceiveDirection) else str(direction)
+    tag = _tag(direction)
     thetas = [float(theta) for theta in theta_grid]
     radii = _curve_radii(tag, kind, thetas, L, rho, threshold)
     return RegionCurve(tag, kind, float(threshold), list(zip(thetas, radii)))

@@ -39,7 +39,7 @@ from .bandwidth import axis_bandwidth, bandwidth_x, bandwidth_z  # noqa: F401
 from .dof import k_exact, k_number  # noqa: F401
 from .geometry import (  # noqa: F401
     ScenePlacement,
-    _check_phi,
+    _polar,
     gamma,
     horizontal_scene_to_local,
     scene_to_local,
@@ -146,7 +146,7 @@ def _policy_label(policy) -> str:
         if policy not in ("gamma", "hcontrol"):
             raise ValueError(f"unknown policy {policy!r}")
         return policy
-    return f"fixed({_check_phi(policy):g})"
+    return f"fixed({_polar('orientation angle phi', policy):g})"
 
 
 def _evaluate(scene: ScenePlacement, policy, x, y):

@@ -16,6 +16,7 @@ from losdof import (
     singular_spectrum,
     usable_count,
 )
+from losdof.channel import antenna_counts
 
 
 class TestAntennaPositions:
@@ -32,6 +33,12 @@ class TestAntennaPositions:
         assert np.allclose(pos.mean(axis=0), [1.0, 2.0, 3.0])
         assert pos[0, 2] == pytest.approx(3.0 - 5.0)
         assert pos[-1, 2] == pytest.approx(3.0 + 5.0)
+
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0, -0.5])
+    def test_spacing_positive_and_finite(self, spacing):
+        with pytest.raises(ValueError) as info:
+            antenna_counts(40.0, spacing)
+        assert str(info.value) == f"spacing must be positive and finite, got {spacing!r}"
 
     def test_non_divisible_suggests_alternatives(self):
         with pytest.raises(ValueError) as info:
@@ -211,6 +218,11 @@ class TestNyquistSpacing:
         with pytest.raises(ValueError):
             nyquist_spacing(0.0, 20.0)
 
+    @pytest.mark.parametrize("K, rho", [(math.nan, 20.0), (3.0, math.nan)], ids=["K", "rho"])
+    def test_rejects_nan(self, K, rho):
+        with pytest.raises(ValueError, match="must be positive and finite, got nan"):
+            nyquist_spacing(K, rho)
+
 
 class TestCsvExport:
     def test_round_trip(self, tmp_path):
@@ -236,3 +248,12 @@ class TestChannelSpec:
         p = AssemblyParams(400.0, 20.0, 16000.0, math.pi / 2)
         with pytest.raises(ValueError):
             ChannelSpec(p, ReceiveDirection.z(), 0.5, 0.7)
+
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["delta_s", "delta_r"])
+    def test_non_finite_spacing_rejected(self, side, spacing):
+        # an infinite spacing used to give a single antenna at the array's first end
+        p = AssemblyParams(400.0, 20.0, 16000.0, math.pi / 2)
+        spacings = {"delta_s": 0.5, "delta_r": 0.5, side: spacing}
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            ChannelSpec(p, ReceiveDirection.z(), **spacings)

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from losdof.cli import main
+from losdof import cli
+from losdof.cli import COMMANDS, main
 
 from helpers import reference_verify
 
@@ -130,6 +133,18 @@ class TestKNumberCommand:
         assert captured.out == ""
         assert captured.err == ("error: indeterminate bandwidth: "
                                 "a receive-array end coincides with a source end\n")
+
+    def test_nan_report_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # JSON has no NaN, so a report holding one is refused rather than written
+        report = SimpleNamespace(k_exact=math.nan, k_upper=1.0, k_lower=0.5, k_linear=0.9)
+        monkeypatch.setattr(cli, "k_number", lambda params, direction: report)
+        out = tmp_path / "k.json"
+        assert run(["k-number", *ASSEMBLY, "--direction", "z", "--output", out]) == 2
+        assert run(["k-number", *ASSEMBLY, "--direction", "z"]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 2 and captured.err.count("\n") == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -431,13 +446,16 @@ class TestScenarioMapCommand:
         ["--mode", "vertical", "--source-height", 400, "--policy", "fixed", "--phi", 4],
         ["--mode", "vertical", "--source-height", 400, "--policy", "hcontrol"],
         ["--mode", "horizontal", "--source-height", 200, "--threads", 0],
-    ], ids=["phi-out-of-range", "hcontrol-vertical", "threads-zero"])
+        # this used to exit 0 with every point failed and NaN in the sidecar
+        ["--mode", "horizontal", "--source-height", "nan"],
+    ], ids=["phi-out-of-range", "hcontrol-vertical", "threads-zero", "height-nan"])
     def test_bad_map_input_exits_2(self, tmp_path, capsys, extra):
         out = tmp_path / "map.csv"
         assert run(["scenario-map", "--source-length", 400, "--receive-length", 40,
                     "--x-steps", 3, "--y-steps", 2, *extra, "--output", out]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "map.json").exists()
 
 
 class TestConfigFile:
@@ -505,6 +523,50 @@ class TestWavelengthCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: wavelength must be positive and finite, got {value}\n"
+
+
+def _bad_value_rows():
+    """Every length or angle option of every command, with each non-finite value."""
+    return [pytest.param(command, opt.flag, value, id=f"{command}{opt.flag}={value}")
+            for command, (_, _, options) in COMMANDS.items()
+            for opt in options if opt.kind in ("length", "angle")
+            for value in ("nan", "inf", "-inf")]
+
+
+class TestNonFiniteOptions:
+    """A non-finite length or angle exits 2 before any work, with one error line."""
+
+    # a valid call of each command; the bad value is appended and wins
+    VALID = {
+        "bandwidth-profile": ["-L", 400, "--rho", 20, "-r", 300, "--direction", "z",
+                              "--samples", 5, "-o", "out.csv"],
+        "k-number": ["-L", 400, "--rho", 20, "-r", 16000, "--direction", "z", "-o", "out.json"],
+        "region-boundary": ["-L", 400, "--rho", 20, "--direction", "z", "--theta-steps", 4,
+                            "-o", "out.csv"],
+        "channel-svd": ["-L", 4, "--rho", 1, "-r", 10, "--delta-s", 1, "--delta-r", 0.5,
+                        "-o", "out.csv"],
+        "scenario-map": ["--mode", "horizontal", "-L", 400, "--source-height", 200,
+                         "--receive-length", 40, "--x-steps", 3, "--y-steps", 2, "-o", "out.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_valid_call_succeeds(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert run([command, *self.VALID[command]]) == 0
+
+    @pytest.mark.parametrize("command, flag, value", _bad_value_rows())
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, command, flag,
+                                        value):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # "--flag=-inf": argparse takes a bare "-inf" for an option name
+            assert run([command, *self.VALID[command], f"{flag}={value}"]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputWriter:

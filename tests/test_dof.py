@@ -262,6 +262,10 @@ class TestKParallel:
         with pytest.raises(ValueError):
             k_parallel(400.0, 40.0, 0.0)
 
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="distance must be positive and finite, got nan"):
+            k_parallel(400.0, 40.0, math.nan)
+
     def test_validity_flag(self):
         with pytest.warns(FarFieldWarning):
             k_parallel(400.0, 40.0, 1000.0)

@@ -61,11 +61,29 @@ class TestAssemblyParams:
             dict(L=400, rho=20, r=0, theta=1.0),
             dict(L=400, rho=20, r=100, theta=3.5),
             dict(L=400, rho=20, r=100, theta=-0.1),
+            dict(L=math.nan, rho=20, r=100, theta=1.0),
+            dict(L=400, rho=math.inf, r=100, theta=1.0),
+            dict(L=400, rho=20, r=math.nan, theta=1.0),
+            dict(L=400, rho=20, r=100, theta=math.nan),
+            dict(L=400, rho=20, r=100, theta=math.inf),
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AssemblyParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(L=np.float64(-4.0), rho=20, r=100, theta=1.0),
+         "source length L must be positive and finite, got -4.0"),
+        (dict(L=400, rho=20, r=np.float64(np.inf), theta=1.0),
+         "centre distance r must be positive and finite, got inf"),
+        (dict(L=400, rho=20, r=100, theta=np.float64(4.0)),
+         "theta must lie in [0, pi], got 4.0"),
+    ], ids=["L", "r", "theta"])
+    def test_message_prints_a_plain_float(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            AssemblyParams(**kwargs)
+        assert str(info.value) == message
 
     @given(theta=st.floats(0.0, math.pi))
     @settings(max_examples=50, deadline=None)
@@ -111,6 +129,21 @@ class TestScenePlacement:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             ScenePlacement("tilted", 400, 400, 40)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("name", ["source_length", "source_height", "receive_length"])
+    @pytest.mark.parametrize("mode", ["vertical", "horizontal"])
+    def test_lengths_positive_and_finite(self, mode, name, value):
+        lengths = {"source_length": 400.0, "source_height": 400.0, "receive_length": 40.0}
+        with pytest.raises(ValueError) as info:
+            ScenePlacement(mode, **{**lengths, name: value})
+        assert str(info.value) == f"{name} must be positive and finite, got {value!r}"
+
+    def test_lengths_stored_as_floats(self):
+        scene = ScenePlacement("vertical", 400, np.float64(401), 40)
+        lengths = (scene.source_length, scene.source_height, scene.receive_length)
+        assert [type(v) for v in lengths] == [float] * 3
+        assert lengths == (400.0, 401.0, 40.0)
 
 
 class TestSceneToLocal:

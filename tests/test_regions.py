@@ -426,6 +426,44 @@ class TestArrayPass:
         assert steps <= 20
 
 
+@pytest.mark.filterwarnings("error")
+class TestThetaChecked:
+    """A polar angle outside [0, pi] or a grid that does not increase fails before any kernel call."""
+
+    SOLVERS = {
+        "smr_boundary": lambda theta: smr_boundary("z", theta, L, RHO, 1.0),
+        "smr_boundary_y": lambda theta: smr_boundary_y(theta, L, RHO, 1.0),
+        "ncsmr_boundary": lambda theta: ncsmr_boundary("x", theta, L, RHO, 1.0),
+        "boundary_curve": lambda theta: boundary_curve("z", "ncsmr", [0.5, theta], L, RHO, 1.0),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, kernel = [], regions._axis_extrema
+
+        def counted_kernel(tag, theta, L, rho, r):
+            calls.append(np.broadcast(theta, r).size)
+            return kernel(tag, theta, L, rho, r)
+
+        monkeypatch.setattr(regions, "_axis_extrema", counted_kernel)
+        return calls
+
+    @pytest.mark.parametrize("theta", [-1.0, 4.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_out_of_range(self, calls, solver, theta):
+        with pytest.raises(ValueError) as info:
+            self.SOLVERS[solver](np.float64(theta))
+        assert str(info.value) == f"theta must lie in [0, pi], got {theta!r}"
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["smr", "ncsmr"])
+    def test_descending_grid(self, calls, kind):
+        grid = np.linspace(15 * math.pi / 16, math.pi / 16, 200)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            boundary_curve("z", kind, grid, L, RHO, 1.0)
+        assert calls == []
+
+
 class TestConcurrency:
     def test_threads_match_serial_and_leave_warning_filters_alone(self):
         thetas = np.linspace(0.0, math.pi, 16)
