@@ -232,9 +232,9 @@ def axis_draw_errors(draws, pointwise, axis_extrema, reports, samples: int, poin
 
     The closed forms under test are arguments: ``pointwise[tag](l, d, c, L)``
     is the bandwidth of axis ``tag`` at ``l`` on links ``(d, c = r cos θ,
-    L)``, broadcasting; ``axis_extrema(tag, theta, L, rho, r)`` gives
+    L)``, broadcasting; ``axis_extrema(tag, d, c, L, rho)`` gives
     ``(w_max, w_min, argmax)`` over arrays of assemblies; and
-    ``reports(tag, L, rho, r, theta, v)`` the ``(k_exact, k_lower, k_upper,
+    ``reports(tag, d, c, L, rho, v)`` the ``(k_exact, k_lower, k_upper,
     k_linear)`` that a batch of links reports, as ``dof._reports``.
     Returns three arrays, one entry per assembly, each the worst over e_z,
     e_x and e_y of:
@@ -254,17 +254,17 @@ def axis_draw_errors(draws, pointwise, axis_extrema, reports, samples: int, poin
     An error that is NaN (a non-finite value under test) is returned as
     inf, so it fails any bound.
     """
-    links = d, _, L = _links(draws)
-    rho, r, theta = (np.array([getattr(p, name) for p in draws]) for name in ("rho", "r", "theta"))
+    links = d, _, _ = _links(draws)
+    rho = np.array([p.rho for p in draws])
     # The effective intervals: the whole array, [-min(d, rho), rho] and the half [0, rho].
     intervals = {"z": (-rho, rho), "x": (-np.minimum(d, rho), rho), "y": (np.zeros_like(rho), rho)}
     gaps, excesses = [], []
     for tag, (lo, hi) in intervals.items():
-        w_max, w_min, _ = axis_extrema(tag, theta, L, rho, r)
+        w_max, w_min, _ = axis_extrema(tag, *links, rho)
         s_lo, s_hi = scan_extrema(pointwise[tag], lo, hi, samples, args=links)
         gaps += [s_hi - w_max, s_lo - w_min]
         v = np.broadcast_to(_UNIT[tag], (len(draws), 3))
-        k, k_lower, k_upper, _ = reports(tag, L, rho, r, theta, v)
+        k, k_lower, k_upper, _ = reports(tag, *links, rho, v)
         excesses += [k_lower - k - 1e-9, k - k_upper - 1e-9]
 
     mirrored = [AssemblyParams(p.L, p.rho, p.r, math.pi - p.theta) for p in draws]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Unused here; kept because bench/tracing.py counts calls through this name.
-from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .geometry import AssemblyParams, ReceiveDirection, _as_unit_tuple
 
@@ -39,6 +37,15 @@ __all__ = [
     "extrema",
     "effective_interval",
 ]
+
+
+def __getattr__(name: str):
+    # ``minimize_scalar`` is unused here; bench/tracing.py counts calls through this
+    # name.  Resolving it on first access keeps scipy.optimize out of import.
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -255,20 +262,17 @@ def _stationary(far, near):
     return a * b / np.sqrt(a + b)
 
 
-def _axis_extrema(tag: str, theta, L: float, rho: float, r):
-    """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over ``theta`` and ``r``.
+def _axis_extrema(tag: str, d, c, L, rho):
+    """``(w_max, w_min, argmax)`` of axis direction ``tag``, broadcast over links ``(d, c, L)``.
 
     The closed-form argmax of each direction (the branches the ``extrema_z/x/y``
     docstrings describe, chosen elementwise), and the pointwise form there and
     at the interval ends; only the e_z peak ``2*dc(L/2, d)`` is written out.
-    One call covers a whole grid of polar angles and centre distances; one
-    angle and distance give the bits of their entry in such a grid.
-    Branches not taken may divide by zero; the kernel never warns.
+    ``d``, ``c``, ``L`` and ``rho`` are as for ``axis_bandwidth`` and broadcast,
+    so one call covers a whole batch of links; one link gives the bits of its
+    entry in such a batch.  Branches not taken may divide by zero; the kernel
+    never warns.
     """
-    # A scalar r becomes a numpy scalar, whose arithmetic is cheaper than a 0-d array's.
-    r = np.asarray(r, dtype=float)[()]
-    c = r * np.cos(theta)
-    d = r * np.sin(theta)
     axial = np.abs(c)
     with np.errstate(all="ignore"):
         if tag == "z":
@@ -306,7 +310,7 @@ def extrema(params: AssemblyParams, direction: ReceiveDirection) -> BandwidthSum
             "evaluate bandwidth_generic pointwise for generic orientations"
         )
     w_max, w_min, argmax = (
-        float(v) for v in _axis_extrema(direction.tag, params.theta, params.L, params.rho, params.r)
+        float(v) for v in _axis_extrema(direction.tag, params.d, params.c, params.L, params.rho)
     )
     if math.isnan(w_max - w_min):
         raise ValueError("indeterminate bandwidth: a receive-array end coincides with a source end")

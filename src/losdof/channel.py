@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
-from .geometry import AssemblyParams, ReceiveDirection, _positive
+from .geometry import AssemblyParams, ReceiveDirection, _fraction, _positive
 
 __all__ = [
     "ChannelSpec",
@@ -34,8 +34,9 @@ __all__ = [
 def antenna_counts(length: float, spacing: float) -> int:
     """Number of antennas on a uniformly sampled segment: ``1 + length/spacing``."""
     spacing = _positive("spacing", spacing)
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length!r}")
+    length = float(length)
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"length must be finite and >= 0, got {length!r}")
     ratio = length / spacing
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
@@ -166,8 +167,9 @@ def usable_count(spectrum: SingularSpectrum, threshold: float = 0.3) -> int:
     """Subchannels whose singular value reaches ``threshold`` of the largest.
 
     The default 0.3 corresponds to roughly 10 dB of power-gain loss against
-    the best subchannel.
+    the best subchannel.  ``threshold`` must lie in ``[0, 1]``.
     """
+    threshold = _fraction("threshold", threshold)
     ratios = normalized_spectrum(spectrum, "max")
     return int(np.count_nonzero(ratios >= threshold))
 

@@ -58,7 +58,7 @@ from .channel import (
 )
 from .dof import _reports, k_number
 from .geometry import FAR_FIELD_MIN_R, AssemblyParams, ReceiveDirection, ScenePlacement
-from .geometry import _polar, _positive
+from .geometry import _fraction, _polar, _positive
 from .regions import boundary_curve
 from .scenarios import GroundGrid, k_map
 
@@ -329,7 +329,8 @@ COMMANDS = {
         *UNITS, *ASSEMBLY, replace(DIRECTION, default="z"),
         Option("delta_s", float, REQUIRED, "source antenna spacing", kind="length"),
         Option("delta_r", float, REQUIRED, "receive antenna spacing", kind="length"),
-        Option("threshold", float, 0.3, "usability threshold (default 0.3)"),
+        Option("threshold", functools.partial(_fraction, "threshold"), 0.3,
+               "usability threshold in [0, 1] (default 0.3)"),
         SIDECAR_OUTPUT,
         Option("matrix_csv", str, None,
                "also export the raw channel matrix to this CSV path (- for stdout)"),

@@ -153,21 +153,20 @@ def _piece_edges(params: AssemblyParams, v, lo: float, hi: float) -> np.ndarray:
     return np.unique(_kernel(params.d, params.c, params.L, v, lo, hi)[1])
 
 
-def _reports(tag: str, L, rho, r, theta, v):
+def _reports(tag: str, d, c, L, rho, v):
     """``(K, k_lower, k_upper, k_linear)`` of a batch of links in one array pass.
 
-    Links ``(L, rho, r, theta)`` as in ``AssemblyParams`` broadcast to the
-    shape ``v.shape[:-1]`` of the receive directions ``v`` (components on the
-    last axis), all of direction ``tag``; a ``(3,)`` vector gives one link
-    and scalars.  Over the effective interval ``I`` the
-    bounds are ``w_min*|I|`` and ``w_max*|I|`` and ``k_linear`` is
+    Links ``(d, c, L)`` as for ``k_exact`` and receive half-lengths ``rho``
+    broadcast to the shape ``v.shape[:-1]`` of the receive directions ``v``
+    (components on the last axis), all of direction ``tag``; a ``(3,)``
+    vector gives one link and scalars.  Over the effective interval ``I``
+    the bounds are ``w_min*|I|`` and ``w_max*|I|`` and ``k_linear`` is
     ``(w_min + w_max)/2 * |I|``.  Axis links take ``w_max``/``w_min`` from
     ``_axis_extrema``, generic links from ``_spread`` at the Gauss-Legendre
     nodes of every piece of ``_kernel``.  Unchecked: an indeterminate
     extreme gives NaN bounds.
     """
     v = np.asarray(v, dtype=float)
-    d, c = r * np.sin(theta), r * np.cos(theta)
     lo, hi = _interval(tag, d, rho)
     value, edges = _kernel(d, c, L, v, lo, hi)
     if tag == "generic":
@@ -179,7 +178,7 @@ def _reports(tag: str, L, rho, r, theta, v):
         w = np.where(b > a, w, np.nan)
         w_max, w_min = np.fmax.reduce(w, axis=(-2, -1)), np.fmin.reduce(w, axis=(-2, -1))
     else:
-        w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
+        w_max, w_min, _ = _axis_extrema(tag, d, c, L, rho)
     span = hi - lo
     return value, w_min * span, w_max * span, 0.5 * (w_min + w_max) * span
 
@@ -217,7 +216,7 @@ def k_number(params: AssemblyParams, direction: ReceiveDirection) -> KNumberRepo
     rejected.
     """
     value, lower, upper, linear = (float(x) for x in _reports(
-        direction.tag, params.L, params.rho, params.r, params.theta, direction.unit_vector))
+        direction.tag, params.d, params.c, params.L, params.rho, direction.unit_vector))
     if math.isnan(upper - lower):
         raise ValueError("indeterminate bandwidth: a receive-array end coincides with a source end")
     return KNumberReport(value, upper, lower, linear, direction)

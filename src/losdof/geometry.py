@@ -54,6 +54,14 @@ def _positive(name: str, value) -> float:
     return value
 
 
+def _fraction(name: str, value) -> float:
+    """``value`` as a float; it must lie in ``[0, 1]``, so NaN fails too."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _polar(name: str, value):
     """``value`` (a scalar as a float) if it lies in ``[0, pi]``, elementwise for an array."""
     if isinstance(value, np.ndarray) and value.ndim:

@@ -13,16 +13,20 @@ bandwidth extrema with the full-array interval convention, i.e. they solve
 
 treating the distance ``r`` as the unknown at fixed polar angle.
 ``boundary_curve`` solves a whole polar-angle grid in one array pass, with
-one body for both kinds: the descending radius rows of many angles go to the
-closed-form extrema kernel together, each zero or sign change is a bracket,
-and one vectorised bracketed solve (Chandrupatla's method) refines every
-bracket of every angle on the same kernel.  The kinds differ only in their
-grid and in keeping a row's outermost root or all of them.  ``smr_boundary``,
-``smr_boundary_y`` and ``ncsmr_boundary`` are its one-angle calls.  Nothing
-here warns or sets a warning filter, probes below ten wavelengths included,
-so the module is safe to call from several threads.  Before it evaluates
-anything, every solver checks that ``L``, ``rho`` and the threshold are
-positive and finite and that its polar angles lie in ``[0, pi]`` and increase.
+one body for both kinds: one descending radius row, shared by every angle,
+goes to the closed-form extrema kernel for many angles together, each zero
+or sign change is a bracket, and one vectorised bracketed solve
+(Chandrupatla's method) refines every bracket of every angle on the same
+kernel.  The kinds differ only in their row and in keeping an angle's
+outermost root or all of them.  The multiplexing row starts where the
+bandwidth bound ``w < L/(r - rho - L/2)`` (the angle the source subtends)
+puts the target out of reach, or at ``4*R0`` if that is further out.
+``smr_boundary``, ``smr_boundary_y`` and ``ncsmr_boundary`` are its
+one-angle calls.  Nothing here warns or sets a warning filter, probes below
+ten wavelengths included, so the module is safe to call from several
+threads.  Before it evaluates anything, every solver checks that ``L``,
+``rho`` and the threshold are positive and finite and that its polar angles
+lie in ``[0, pi]`` and increase.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# Unused here; kept because bench/tracing.py counts calls through this name.
-from scipy.optimize import brentq  # noqa: F401
 
 from .bandwidth import _axis_extrema
 # Unused here; kept because bench/tracing.py wraps these names.
@@ -52,6 +54,16 @@ __all__ = [
     "fraunhofer",
 ]
 
+
+def __getattr__(name: str):
+    # ``brentq`` is unused here; bench/tracing.py counts calls through this
+    # name.  Resolving it on first access keeps scipy.optimize out of import.
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 #: residual bound a solved radius must satisfy in its defining equation;
 #: it also rejects the pseudo-roots a sign change finds at a jump of the
 #: extrema (exact endfire geometries).
@@ -60,6 +72,9 @@ RESIDUAL_TOL = 1e-9
 #: radii on the log-spaced scan grid of ``ncsmr_boundary``, and the most
 #: points one kernel call evaluates.
 _SCAN_POINTS = 2048
+
+#: the multiplexing scan descends to this radius and no further.
+_R_FLOOR = 1e-6
 
 
 class R0Threshold(NamedTuple):
@@ -123,7 +138,7 @@ def _theta_grid(theta) -> np.ndarray:
 def _excess(tag: str, L: float, rho: float, target: float, spread: bool):
     """``w(theta, r) - target``, broadcast; ``w`` is w_max, or w_range if ``spread``."""
     def g(theta, r):
-        w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
+        w_max, w_min, _ = _axis_extrema(tag, r * np.sin(theta), r * np.cos(theta), L, rho)
         return (w_max - w_min if spread else w_max) - target
 
     return g
@@ -191,34 +206,30 @@ def _bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-12, rtol: float = 1e-12,
     return roots, values
 
 
-def _roots(g, theta: np.ndarray, grid: np.ndarray, outermost: bool) -> list[tuple]:
-    """Zeros of ``g`` per angle: scan each row of ``grid``, bracket, one bracketed solve.
+def _roots(g, theta: np.ndarray, row: np.ndarray, outermost: bool) -> list[tuple]:
+    """Zeros of ``g`` per angle: scan ``row`` at every angle, bracket, one bracketed solve.
 
-    Row ``i`` holds descending radii for ``theta[i]``; NaN pads or masks it.
-    Every zero on a scan point (a bracket with ``fa == 0``) and every sign
-    change is a bracket, its smaller radius the end ``a``; ``outermost``
-    keeps only a row's first from the top.  Roots whose residual exceeds
+    ``row`` holds descending radii, shared by every angle.  Every zero on a
+    scan point (a bracket with ``fa == 0``) and every sign change is a
+    bracket, its smaller radius the end ``a``; ``outermost`` keeps only an
+    angle's first from the top.  Roots whose residual exceeds
     ``RESIDUAL_TOL`` are dropped; each angle gets its roots in increasing order.
     """
-    width = grid.shape[1]
-    per_call = max(1, _SCAN_POINTS // width)
+    per_call = max(1, _SCAN_POINTS // row.size)
     brackets = []
     for start in range(0, len(theta), per_call):
-        block = slice(start, start + per_call)
-        values = g(theta[block, None], grid[block])
+        values = g(theta[start:start + per_call, None], row)
         hit = values == 0.0
         hit[:, 1:] |= values[:, 1:] * values[:, :-1] < 0
         if outermost:
-            lo = hit.argmax(axis=1)
-            rows = np.flatnonzero(hit[np.arange(len(hit)), lo])
-            at = rows * width + lo[rows]
+            col = hit.argmax(axis=1)
+            rows = np.flatnonzero(hit[np.arange(len(hit)), col])
+            col = col[rows]
         else:
-            at = np.flatnonzero(hit)
-            rows = at // width
-        # Flat indices into the block; a zero in the top column is its own bracket.
-        up = at - (at % width > 0)
-        radii, values = grid[block].ravel(), values.ravel()
-        brackets.append((start + rows, radii[at], radii[up], values[at], values[up]))
+            rows, col = np.nonzero(hit)
+        # A zero in the top column is its own bracket.
+        up = col - (col > 0)
+        brackets.append((start + rows, row[col], row[up], values[rows, col], values[rows, up]))
     rows, a, b, fa, fb = (np.concatenate(v) for v in zip(*brackets))
     roots, values = _bracketed_roots(lambda r, i: _evaluate(g, theta[rows[i]], r), a, b, fa, fb)
     keep = np.abs(values) <= RESIDUAL_TOL
@@ -228,25 +239,13 @@ def _roots(g, theta: np.ndarray, grid: np.ndarray, outermost: bool) -> list[tupl
     return [tuple(reversed(roots[i:j])) for i, j in zip(ends, ends[1:])]
 
 
-def _smr_grid(g, theta: np.ndarray, r_hi: float, r_floor: float = 1e-6) -> np.ndarray:
-    """Geometric descent per angle from a pushed-out start; NaN at or below ``r_floor``."""
-    hi = np.full(len(theta), r_hi)
-    g_hi = _evaluate(g, theta, hi)
-    # Where the target is still exceeded out here, push the start further out.
-    push = np.flatnonzero((g_hi > 0) & (hi < 1e12))
-    while push.size:
-        hi[push] *= 4.0
-        g_hi[push] = _evaluate(g, theta[push], hi[push])
-        push = push[(g_hi[push] > 0) & (hi[push] < 1e12)]
-    # Rows hi, hi/step, (hi/step)/step, ... by repeated division, down to
-    # r_floor; radii at or below it (the padding included) become NaN.
+def _descent(r_hi: float) -> np.ndarray:
+    """``r_hi, r_hi/step, (r_hi/step)/step, ...`` by repeated division, above ``_R_FLOOR``."""
     step = 2.0 ** 0.25
-    count = math.ceil((math.log(hi.max()) - math.log(r_floor)) / math.log(step))
-    grid = np.full((len(hi), count + 1), step)
-    grid[:, 0] = hi
-    np.divide.accumulate(grid, axis=1, out=grid)
-    grid[grid <= r_floor] = np.nan
-    return grid
+    row = np.full(math.ceil((math.log(r_hi) - math.log(_R_FLOOR)) / math.log(step)) + 1, step)
+    row[0] = r_hi
+    np.divide.accumulate(row, out=row)
+    return row[row > _R_FLOOR]
 
 
 def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: float):
@@ -258,24 +257,30 @@ def _curve_radii(tag: str, kind: str, theta, L: float, rho: float, threshold: fl
     # The thresholds of interest sit below the boresight maximum; scan down
     # from comfortably beyond it.  r0_threshold checks L and rho.
     r_hi = 4.0 * r0_threshold(L, rho).approx
-    threshold = _positive("delta_k" if kind == "ncsmr" else "K0", threshold)
+    name = "delta_k" if kind == "ncsmr" else "K0"
+    threshold = _positive(name, threshold)
     theta = _theta_grid(theta)
     if kind == "ncsmr":
-        g = _excess(_check_zx(tag), L, rho, threshold / rho, spread=True)
+        target = threshold / rho
     elif tag == "y":
-        g = _excess("y", L, rho, 2.0 * threshold / rho, spread=False)
+        target = 2.0 * threshold / rho
     else:
-        g = _excess(_check_zx(tag), L, rho, threshold / (2.0 * rho), spread=False)
+        target = threshold / (2.0 * rho)
+    g = _excess(tag if tag == "y" else _check_zx(tag), L, rho, target, kind == "ncsmr")
+    if kind == "smr":
+        # Every local bandwidth is below L/(r - rho - L/2), the angle the source
+        # subtends, so no radius beyond rho + L/2 + L/target reaches the target.
+        r_hi = max(r_hi, rho + 0.5 * L + L / target) if target else math.inf
     if not r_hi < math.inf:
-        raise ValueError(f"L * rho is too large: the scan start 8*rho*L overflows "
-                         f"(L = {L!r}, rho = {rho!r})")
+        raise ValueError(f"the scan start overflows (L = {L!r}, rho = {rho!r}, "
+                         f"{name} = {threshold!r})")
     if not theta.size:
         return []
-    if kind == "ncsmr":
-        # A contiguous row keeps the kernel on its fast loops.
-        radii = np.ascontiguousarray(np.geomspace(1.0, r_hi, _SCAN_POINTS)[::-1])
-        return _roots(g, theta, np.broadcast_to(radii, (theta.size, radii.size)), False)
-    return _roots(g, theta, _smr_grid(g, theta, r_hi), True)
+    if kind == "smr":
+        return _roots(g, theta, _descent(r_hi), True)
+    # A contiguous row keeps the kernel on its fast loops.
+    row = np.ascontiguousarray(np.geomspace(1.0, r_hi, _SCAN_POINTS)[::-1])
+    return _roots(g, theta, row, False)
 
 
 def smr_boundary(

@@ -83,10 +83,25 @@ def world_k_number(
 def _excess(tag: str, theta: float, L: float, rho: float, target: float, spread: bool):
     """``w(r) - target`` at scalar or array ``r``; ``w`` is w_max, or w_range if ``spread``."""
     def g(r):
-        w_max, w_min, _ = _axis_extrema(tag, theta, L, rho, r)
+        w_max, w_min, _ = _axis_extrema(tag, r * np.sin(theta), r * np.cos(theta), L, rho)
         return (w_max - w_min if spread else w_max) - target
 
     return g
+
+
+def _brentq(g, a: float, b: float) -> float:
+    """``brentq`` on the bracket ``[a, b]``; NaN where ``g`` turns NaN inside it.
+
+    Such a bracket gives no root, as in ``losdof.regions._bracketed_roots``:
+    at ``r = L/2 - rho`` on the endfire axis an end of the receive array
+    meets a source end, and the extrema there are NaN.
+    """
+    try:
+        return brentq(g, a, b, xtol=1e-12, rtol=1e-12)
+    except ValueError as exc:
+        if "NaN" not in str(exc):
+            raise
+        return math.nan
 
 
 def _largest_root(g, r_hi: float, r_floor: float = 1e-6) -> float | None:
@@ -109,7 +124,7 @@ def _largest_root(g, r_hi: float, r_floor: float = 1e-6) -> float | None:
     i = hits[0] + 1
     if values[i] == 0.0:
         return float(grid[i])
-    return float(brentq(g, grid[i], grid[i - 1], xtol=1e-12, rtol=1e-12))
+    return float(_brentq(g, grid[i], grid[i - 1]))
 
 
 def reference_excess(tag: str, kind: str, theta: float, L: float, rho: float, threshold: float):
@@ -136,11 +151,11 @@ def reference_radii(tag: str, kind: str, theta: float, L: float, rho: float,
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0)
         roots = np.sort(np.r_[
             grid[values == 0.0],
-            [brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12) for i in brackets],
+            [_brentq(g, grid[i], grid[i + 1]) for i in brackets],
         ])
         return tuple(float(root) for root in roots[np.abs(g(roots)) <= RESIDUAL_TOL])
     root = _largest_root(g, r_hi)
-    if root is None or abs(g(root)) > RESIDUAL_TOL:
+    if root is None or not abs(g(root)) <= RESIDUAL_TOL:
         return ()
     return (root,)
 

@@ -367,11 +367,12 @@ def test_axis_extrema_kernel_over_r(tag, L, rho, theta):
         # straddle the projection-inside switch r*|cos(theta)| = L/2
         edge = 0.5 * L / abs(math.cos(theta))
         r = np.sort(np.r_[r, edge * np.array([1 - 1e-9, 1.0, 1 + 1e-9])])
-    w_max, w_min, argmax = _axis_extrema(tag, theta, L, rho, r)
+    d, c = r * np.sin(theta), r * np.cos(theta)
+    w_max, w_min, argmax = _axis_extrema(tag, d, c, L, rho)
     for i, ri in enumerate(r):
         # one distance gives the bits of its entry in the array call
         np.testing.assert_array_equal([w_max[i], w_min[i], argmax[i]],
-                                      _axis_extrema(tag, theta, L, rho, float(ri)))
+                                      _axis_extrema(tag, float(d[i]), float(c[i]), L, rho))
         p = AssemblyParams(L, rho, ri, theta)
         if ri < 10.0 or (p.d == 0.0 and ri <= 0.5 * L + rho):
             # near field, or a receive array that meets the source segment
@@ -388,13 +389,30 @@ def test_axis_extrema_kernel_over_theta(tag, L, rho):
     # a grid of polar angles by radii in one call, row by row as one angle's call
     theta = np.r_[0.0, np.linspace(0.01, math.pi - 0.01, 7), math.pi / 2, math.pi]
     r = np.geomspace(1e-2, 1e5, 23)
-    w_max, w_min, argmax = _axis_extrema(tag, theta[:, None], L, rho, r)
+    d, c = r * np.sin(theta[:, None]), r * np.cos(theta[:, None])
+    w_max, w_min, argmax = _axis_extrema(tag, d, c, L, rho)
     assert w_max.shape == (theta.size, r.size)
-    for i, th in enumerate(theta):
-        s_max, s_min, s_arg = _axis_extrema(tag, float(th), L, rho, r)
+    for i in range(theta.size):
+        s_max, s_min, s_arg = _axis_extrema(tag, d[i], c[i], L, rho)
         np.testing.assert_array_equal(w_max[i], s_max)
         np.testing.assert_array_equal(w_min[i], s_min)
         np.testing.assert_array_equal(argmax[i], s_arg)
+
+
+@given(
+    tag=st.sampled_from("zxy"),
+    L=st.floats(10.0, 1e3),
+    rho=st.floats(1.0, 1e2),
+    theta=st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi)),
+    excess=st.floats(1e-6, 1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_w_max_below_the_subtended_angle(tag, L, rho, theta, excess):
+    # beyond r = rho + L/2 every local bandwidth is below L/(r - rho - L/2),
+    # the angle the source subtends; the multiplexing scan starts from it
+    r = (rho + 0.5 * L) * (1.0 + excess)
+    w_max, _, _ = _axis_extrema(tag, r * math.sin(theta), r * math.cos(theta), L, rho)
+    assert w_max < L / (r - rho - 0.5 * L)
 
 
 class TestOneArithmetic:
@@ -407,9 +425,9 @@ class TestOneArithmetic:
 
     @pytest.mark.parametrize("tag", "zxy")
     def test_extrema_equal_their_batch_row(self, draws, tag):
-        theta, L, rho, r = (np.array([getattr(p, name) for p in draws])
-                            for name in ("theta", "L", "rho", "r"))
-        batch = np.column_stack(_axis_extrema(tag, theta, L, rho, r))
+        d, c, L, rho = (np.array([getattr(p, name) for p in draws])
+                        for name in ("d", "c", "L", "rho"))
+        batch = np.column_stack(_axis_extrema(tag, d, c, L, rho))
         one = {"z": extrema_z, "x": extrema_x, "y": extrema_y}[tag]
         rows = np.array([(s.w_max, s.w_min, s.argmax_location) for s in map(one, draws)])
         assert np.count_nonzero((rows != batch).any(axis=1)) == 0
@@ -419,11 +437,11 @@ class TestOneArithmetic:
         # the extrema are the pointwise form at the argmax and at the interval
         # ends; only the e_z peak is written out, as 2*dc(L/2, d), which the
         # form meets up to the rounding of its arguments -c + (c +- L/2)
-        theta, L, rho, r, d, c = (np.array([getattr(p, name) for p in draws])
-                                  for name in ("theta", "L", "rho", "r", "d", "c"))
+        L, rho, d, c = (np.array([getattr(p, name) for p in draws])
+                        for name in ("L", "rho", "d", "c"))
         lo, hi = np.array([effective_interval(p, getattr(ReceiveDirection, tag)())
                            for p in draws]).T
-        w_max, w_min, argmax = _axis_extrema(tag, theta, L, rho, r)
+        w_max, w_min, argmax = _axis_extrema(tag, d, c, L, rho)
         at_max = axis_bandwidth(tag, argmax, d, c, L)
         peak = (np.abs(c) <= rho) if tag == "z" else np.zeros(len(draws), bool)
         assert np.count_nonzero(at_max[~peak] != w_max[~peak]) == 0

@@ -40,6 +40,15 @@ class TestAntennaPositions:
             antenna_counts(40.0, spacing)
         assert str(info.value) == f"spacing must be positive and finite, got {spacing!r}"
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0])
+    def test_length_finite_and_non_negative(self, length):
+        with pytest.raises(ValueError) as info:
+            antenna_positions(length, 1.0, (0, 0, 0), (0, 0, 1))
+        assert str(info.value) == f"length must be finite and >= 0, got {length!r}"
+
+    def test_zero_length_is_one_antenna(self):
+        assert antenna_counts(0.0, 1.0) == 1
+
     def test_non_divisible_suggests_alternatives(self):
         with pytest.raises(ValueError) as info:
             antenna_positions(40.0, 0.7, (0, 0, 0), (0, 0, 1))
@@ -176,6 +185,13 @@ class TestUsableCount:
     def test_zero_threshold(self):
         s = singular_spectrum(np.diag([1.0, 0.3, 0.29]))
         assert usable_count(s, 0.0) == 3
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5, 1.5])
+    def test_threshold_outside_unit_interval(self, threshold):
+        s = singular_spectrum(np.diag([1.0, 0.3, 0.29]))
+        with pytest.raises(ValueError) as info:
+            usable_count(s, threshold)
+        assert str(info.value) == f"threshold must lie in [0, 1], got {threshold!r}"
 
 
 class TestSpectrumVsDistance:

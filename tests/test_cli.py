@@ -380,6 +380,17 @@ class TestChannelSvdCommand:
         assert data.shape[0] == 4
         assert np.all(data[:, 2] >= 0.9)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+    def test_bad_threshold_exits_2_and_writes_nothing(self, tmp_path, capsys, threshold):
+        # a NaN threshold used to exit 0 with usable_count 0
+        out = tmp_path / "svd.csv"
+        assert run(["channel-svd", "-L", 4, "--rho", 1, "-r", 10, "--delta-s", 1,
+                    "--delta-r", 0.5, f"--threshold={threshold}", "--output", out]) == 2
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: threshold must lie in [0, 1], got {float(threshold)!r}\n"
+
     def test_bad_spacing_exits_2(self, tmp_path, capsys):
         code = run(["channel-svd", "--source-length", 400, "--rho", 20,
                     "--distance", 8000, "--delta-s", 0.7, "--delta-r", 0.5,

@@ -213,7 +213,7 @@ class TestKNumber:
         links += [AssemblyParams(p.L, p.rho, p.r, math.pi / 2) for p in links[:6]]
         vs = np.r_[vs, vs[:6]]
         assembly = [np.array([getattr(p, name) for p in links])
-                    for name in ("L", "rho", "r", "theta")]
+                    for name in ("d", "c", "L", "rho")]
         for tag in ("z", "x", "y", "generic"):
             directions = [ReceiveDirection.generic(v) if tag == "generic" else ReceiveDirection(tag)
                           for v in vs]

@@ -24,7 +24,7 @@ from losdof import (
     smr_boundary_y,
 )
 from losdof import regions
-from losdof.regions import RESIDUAL_TOL, _bracketed_roots, _roots, _smr_grid
+from losdof.regions import RESIDUAL_TOL, _bracketed_roots, _descent, _roots
 
 from helpers import reference_excess, reference_radii
 
@@ -127,6 +127,17 @@ class TestSmrBoundary:
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError):
             smr_boundary("y", 1.0, L, RHO, 1.0)
+
+    def test_small_k0_root_beyond_four_r0(self):
+        # the root, about 1.6e6, lies beyond 4*R0 = 64,000, so the scan
+        # starts at the bandwidth bound rho + L/2 + L/target instead
+        theta, K0 = math.pi / 2, 0.01
+        root = smr_boundary("z", theta, L, RHO, K0)
+        assert root > 4.0 * r0_threshold(L, RHO).approx
+        assert abs(reference_excess("z", "smr", theta, L, RHO, K0)(root)) <= RESIDUAL_TOL
+        (expected,) = reference_radii("z", "smr", theta, L, RHO, K0)
+        assert root == pytest.approx(expected, rel=1e-12)
+        assert root == pytest.approx(rz_boresight(L, RHO, K0), rel=1e-12)
 
 
 class TestNcsmrBoundary:
@@ -263,6 +274,7 @@ CURVES = [("ncsmr", "x"), ("ncsmr", "z"), ("smr", "x"), ("smr", "y"), ("smr", "z
 )
 @example(L=20.0, rho=2.0, threshold=1.0, interior=[1e-5])
 @example(L=205.0, rho=10.0, threshold=1.0, interior=[1.192092896e-07])
+@example(L=100.0, rho=19.84877993493015, threshold=2.2091626773873094, interior=[])
 @settings(max_examples=10, deadline=None)
 def test_curves_match_per_angle_brentq(L, rho, threshold, interior):
     # the array pass against the per-angle scans refined by scipy's brentq,
@@ -359,14 +371,11 @@ class TestRootsDropNaN:
     def g(theta, r):
         return np.where(np.abs(r - 5.5) < 0.2, np.nan, (r - 5.5) * (r - 8.5) + 0.0 * theta)
 
-    @staticmethod
-    def descending(grid, rows):
-        return np.broadcast_to(grid[::-1], (rows, grid.size))
+    ROW = np.arange(10.0, 0.0, -1.0)
 
     def test_fixed_grid(self, outermost):
         theta = np.array([0.3, 0.7])
-        grid = self.descending(np.arange(1.0, 11.0), 2)
-        assert _roots(self.g, theta, grid, outermost) == [(8.5,)] * 2
+        assert _roots(self.g, theta, self.ROW, outermost) == [(8.5,)] * 2
 
     def test_descent_grid(self, outermost):
         def g(theta, r):
@@ -374,7 +383,7 @@ class TestRootsDropNaN:
 
         def solve(fn):
             theta = np.array([0.3])
-            return _roots(fn, theta, _smr_grid(fn, theta, 100.0), outermost)
+            return _roots(fn, theta, _descent(100.0), outermost)
 
         assert solve(g) == [()]
         assert solve(self.g)[0] == pytest.approx((8.5,))
@@ -383,8 +392,7 @@ class TestRootsDropNaN:
         def g(theta, r):
             return r - 8.0 + 0.0 * theta
 
-        grid = self.descending(np.arange(1.0, 11.0), 1)
-        assert _roots(g, np.array([0.3]), grid, outermost) == [(8.0,)]
+        assert _roots(g, np.array([0.3]), self.ROW, outermost) == [(8.0,)]
 
 
 class TestArrayPass:
@@ -397,9 +405,9 @@ class TestArrayPass:
         calls, steps = [], []
         kernel, solve = regions._axis_extrema, regions._bracketed_roots
 
-        def counted_kernel(tag, theta, L, rho, r):
-            calls.append(np.broadcast(theta, r).size)
-            return kernel(tag, theta, L, rho, r)
+        def counted_kernel(tag, d, c, L, rho):
+            calls.append(np.broadcast(d, c).size)
+            return kernel(tag, d, c, L, rho)
 
         def counted_solve(f, *args, **kwargs):
             def counted_f(x, i):
@@ -441,9 +449,9 @@ class TestThetaChecked:
     def calls(self, monkeypatch):
         calls, kernel = [], regions._axis_extrema
 
-        def counted_kernel(tag, theta, L, rho, r):
-            calls.append(np.broadcast(theta, r).size)
-            return kernel(tag, theta, L, rho, r)
+        def counted_kernel(tag, d, c, L, rho):
+            calls.append(np.broadcast(d, c).size)
+            return kernel(tag, d, c, L, rho)
 
         monkeypatch.setattr(regions, "_axis_extrema", counted_kernel)
         return calls
